@@ -72,6 +72,12 @@ ctest --test-dir build-ci --output-on-failure -L persist
 # without AES-NI/AVX2/VAES, where it IS the production path.
 APNA_CRYPTO_BACKEND=soft ctest --test-dir build-ci --output-on-failure \
   -R '^crypto_kat_test$'
+# End-to-end benchmark build + self-test, explicitly in Release: apnabench/
+# is its own CMake project over the src/ libraries, so neither the build nor
+# ctest above compiles it. A src/ API change it depends on (certificate
+# encoding, control sealing, decode_msg) must fail here, not in a benchmark
+# run. Builds both programs into .bench_build/ and runs their self-test.
+python3 apnabench/run.py --selftest
 
 run_config sanitize -DCMAKE_BUILD_TYPE=Debug -DAPNA_SANITIZE=ON -DAPNA_WERROR=ON
 # Wire-image property suites, explicitly under ASan/UBSan: PacketView::bind

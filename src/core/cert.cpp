@@ -4,18 +4,6 @@
 
 namespace apna::core {
 
-Bytes EphIdCertificate::tbs() const {
-  wire::Writer w(96);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.raw(pub.dh);
-  w.raw(pub.sig);
-  w.u32(aid);
-  w.raw(aa_ephid.bytes);
-  w.u8(flags);
-  return w.take();
-}
-
 void EphIdCertificate::tbs_into(wire::MsgWriter& w) const {
   w.raw(ephid.bytes);
   w.u32(exp_time);
@@ -43,25 +31,14 @@ Result<void> EphIdCertificate::verify(const crypto::Ed25519PublicKey& as_pub,
   return Result<void>::success();
 }
 
-void EphIdCertificate::serialize_into(wire::Writer& w) const {
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.raw(pub.dh);
-  w.raw(pub.sig);
-  w.u32(aid);
-  w.raw(aa_ephid.bytes);
-  w.u8(flags);
-  w.raw(sig);
-}
-
 void EphIdCertificate::encode_into(wire::MsgWriter& w) const {
   tbs_into(w);  // wire form = signed fields ‖ signature, single-sourced
   w.raw(sig);
 }
 
 Bytes EphIdCertificate::serialize() const {
-  wire::Writer w(160);
-  serialize_into(w);
+  wire::MsgWriter w(160);
+  encode_into(w);
   return w.take();
 }
 

@@ -21,10 +21,10 @@
 //    (payload Bytes -> Packet::seal() memcpy) from every service reply and
 //    host transmission: one encode, zero intermediate payload buffers.
 //
-// Messages keep their legacy Bytes serialize()/parse(ByteSpan) methods as
-// the REFERENCE codec: tests/control_plane_test.cpp proves encode() emits
-// byte-identical output, so the two can never drift. Hot paths (services,
-// host) use only the MsgWriter/MsgReader forms.
+// Each control message has exactly one codec, written against these
+// types: encode(MsgWriter&) and decode(wire::Reader&). Its wire format is
+// pinned by checked-in golden bytes (tests/golden_codec.h and the vectors
+// in tests/control_plane_test.cpp and tests/dns_test.cpp).
 #pragma once
 
 #include <cstring>

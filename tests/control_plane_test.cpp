@@ -1,7 +1,9 @@
 // Control-plane fabric tests:
-//  * MsgWriter/MsgReader ↔ legacy serialize()/parse byte agreement on
-//    randomized messages (the two codecs must never drift),
-//  * per-byte truncation rejection through the strict span decoder,
+//  * checked-in golden wire bytes for every control message, the EphID
+//    certificate and control sealing, plus one digest over a fixed-seed
+//    randomized corpus (the wire format's oracle),
+//  * round trip, per-byte truncation and trailing-byte rejection through
+//    the strict decoder,
 //  * PacketWriter ↔ Packet::seal wire-image equivalence,
 //  * ServiceDispatcher routing by destination EphID,
 //  * ServicePool issuance determinism: M workers emit bit-identical
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/packet_auth.h"
+#include "crypto/sha2.h"
 #include "crypto/x25519.h"
 #include "host/ephid_pool.h"
 #include "services/accountability_agent.h"
@@ -18,7 +21,10 @@
 #include "services/service_identity.h"
 #include "services/service_runtime.h"
 #include "services/subscriber_registry.h"
+#include "util/hex.h"
 #include "wire/msg_codec.h"
+
+#include "golden_codec.h"
 
 namespace apna {
 namespace {
@@ -60,41 +66,173 @@ struct Gen {
   }
 };
 
-/// One encode-agreement + round-trip + truncation pass for a message.
+/// Encodings a corpus pass has produced, in order, folded into one digest.
+struct Corpus {
+  crypto::Sha256 sha;
+  std::size_t messages = 0;
+  std::size_t bytes = 0;
+};
+
+/// One encode + round-trip + truncation + trailing-byte pass for a message.
+/// The encoding goes to `out` for the caller to compare against a checked-in
+/// vector (or to fold into a corpus digest).
 template <class M>
-void check_codec(const M& msg) {
-  // 1. Byte agreement: the span codec must emit exactly the legacy bytes.
-  const Bytes legacy = msg.serialize();
+void check_codec(const M& msg, Bytes& out) {
   wire::MsgWriter w(16);
   msg.encode(w);
-  ASSERT_EQ(legacy.size(), w.size());
-  ASSERT_TRUE(std::equal(legacy.begin(), legacy.end(), w.span().begin()));
+  out.assign(w.span().begin(), w.span().end());
 
-  // 2. Round trip: decode(encode(m)) re-encodes to the same bytes.
+  // 1. Round trip: decode(encode(m)) re-encodes to the same bytes.
   auto back = core::decode_msg<M>(w.span());
   ASSERT_TRUE(back.ok()) << errc_name(back.code());
-  wire::MsgWriter w2(16);
-  back->encode(w2);
-  ASSERT_EQ(w.size(), w2.size());
-  ASSERT_TRUE(std::equal(w.span().begin(), w.span().end(), w2.span().begin()));
+  ASSERT_EQ(core::encode_msg(*back), out);
 
-  // 3. Every strict prefix is rejected (truncation at each byte boundary).
-  for (std::size_t cut = 0; cut < legacy.size(); ++cut) {
-    auto t = core::decode_msg<M>(ByteSpan(legacy.data(), cut));
-    EXPECT_FALSE(t.ok()) << "prefix of " << cut << "/" << legacy.size()
+  // 2. Every strict prefix is rejected (truncation at each byte boundary).
+  for (std::size_t cut = 0; cut < out.size(); ++cut) {
+    auto t = core::decode_msg<M>(ByteSpan(out.data(), cut));
+    EXPECT_FALSE(t.ok()) << "prefix of " << cut << "/" << out.size()
                          << " bytes decoded";
   }
+
+  // 3. One trailing byte is rejected: the strict decoder owns the whole
+  //    payload.
+  Bytes extended = out;
+  extended.push_back(0);
+  EXPECT_FALSE(core::decode_msg<M>(extended).ok()) << "trailing byte decoded";
 }
 
-TEST(MsgCodec, AgreesWithLegacySerializeOnRandomizedMessages) {
+template <class M>
+void check_codec(const M& msg, Corpus& corpus) {
+  Bytes out;
+  check_codec(msg, out);
+  corpus.sha.update(out);
+  ++corpus.messages;
+  corpus.bytes += out.size();
+}
+
+/// check_codec plus the checked-in wire image.
+template <class M>
+void check_golden(const M& msg, std::string_view hex) {
+  Bytes out;
+  check_codec(msg, out);
+  EXPECT_EQ(hex_encode(out), hex);
+}
+
+// ---- Golden vectors ----------------------------------------------------------
+//
+// The hex below is the wire format's oracle for tests/golden_codec.h's
+// instances: a change here is a wire-format change and must be deliberate.
+
+TEST(MsgCodec, GoldenBytesPerMessage) {
+  check_golden(golden::bootstrap_request(),
+               "01020304000970772d646967657374a0a1a2a3a4a5a6a7a8a9aaabacad"
+               "aeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf");
+  check_golden(golden::bootstrap_response(),
+               "0000beef303132333435363738393a3b3c3d3e3f65554280c0c1c2c3c4"
+               "c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1"
+               "e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfe"
+               "ff707172737475767778797a7b7c7d7e7f6553f4842021222324252627"
+               "28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344"
+               "45464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000"
+               "fc00606162636465666768696a6b6c6d6e6f0280818283848586878889"
+               "8a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6"
+               "a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf10111213"
+               "1415161718191a1b1c1d1e1f6553f484202122232425262728292a2b2c"
+               "2d2e2f303132333435363738393a3b3c3d3e3f40414243444546474849"
+               "4a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc00606162"
+               "636465666768696a6b6c6d6e6f01808182838485868788898a8b8c8d8e"
+               "8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaab"
+               "acadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf0000fc006061626364"
+               "65666768696a6b6c6d6e6f");
+  check_golden(golden::ephid_request(),
+               "2122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d"
+               "3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a"
+               "5b5c5d5e5f6001018182838485868788898a8b8c8d8e8f909192939495"
+               "969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2"
+               "b3b4b5b6b7b8b9babbbcbdbebfc0");
+  check_golden(golden::ephid_response(),
+               "101112131415161718191a1b1c1d1e1f6553f484202122232425262728"
+               "292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445"
+               "464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc"
+               "00606162636465666768696a6b6c6d6e6f01808182838485868788898a"
+               "8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7"
+               "a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf");
+  check_golden(golden::handshake_init(),
+               "101112131415161718191a1b1c1d1e1f6553f484202122232425262728"
+               "292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445"
+               "464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc"
+               "00606162636465666768696a6b6c6d6e6f01808182838485868788898a"
+               "8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7"
+               "a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf0102030405"
+               "06070803000b302d7274742068656c6c6f");
+  check_golden(golden::handshake_response(),
+               "707172737475767778797a7b7c7d7e7f6553f484202122232425262728"
+               "292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445"
+               "464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc"
+               "00606162636465666768696a6b6c6d6e6f02808182838485868788898a"
+               "8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7"
+               "a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf1112131415"
+               "16171802");
+  check_golden(golden::dns_query(),
+               "000c73686f702e6578616d706c65");
+  check_golden(golden::dns_response(),
+               "0001000c73686f702e6578616d706c65101112131415161718191a1b1c"
+               "1d1e1f6553f484202122232425262728292a2b2c2d2e2f303132333435"
+               "363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152"
+               "535455565758595a5b5c5d5e5f0000fc00606162636465666768696a6b"
+               "6c6d6e6f01808182838485868788898a8b8c8d8e8f9091929394959697"
+               "98999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4"
+               "b5b6b7b8b9babbbcbdbebf0a00002ae0e1e2e3e4e5e6e7e8e9eaebeced"
+               "eeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405060708090a"
+               "0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  check_golden(golden::dns_response_nxdomain(),
+               "0100");
+  check_golden(golden::dns_publish(),
+               "000c73686f702e6578616d706c65101112131415161718191a1b1c1d1e"
+               "1f6553f484202122232425262728292a2b2c2d2e2f3031323334353637"
+               "38393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f5051525354"
+               "55565758595a5b5c5d5e5f0000fc00606162636465666768696a6b6c6d"
+               "6e6f01808182838485868788898a8b8c8d8e8f90919293949596979899"
+               "9a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6"
+               "b7b8b9babbbcbdbebfc0a80001");
+  check_golden(golden::shutoff_request(),
+               "00106f6666656e64696e67207061636b6574909192939495969798999a"
+               "9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7"
+               "b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecf1011121314"
+               "15161718191a1b1c1d1e1f6553f484202122232425262728292a2b2c2d"
+               "2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a"
+               "4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc0060616263"
+               "6465666768696a6b6c6d6e6f01808182838485868788898a8b8c8d8e8f"
+               "909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabac"
+               "adaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf");
+  check_golden(golden::revoke_request(),
+               "101112131415161718191a1b1c1d1e1f505152535455565758595a5b5c"
+               "5d5e5f606162636465666768696a6b6c6d6e6f70717273747576777879"
+               "7a7b7c7d7e7f808182838485868788898a8b8c8d8e8f10111213141516"
+               "1718191a1b1c1d1e1f6553f484202122232425262728292a2b2c2d2e2f"
+               "303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c"
+               "4d4e4f505152535455565758595a5b5c5d5e5f0000fc00606162636465"
+               "666768696a6b6c6d6e6f01808182838485868788898a8b8c8d8e8f9091"
+               "92939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadae"
+               "afb0b1b2b3b4b5b6b7b8b9babbbcbdbebf");
+  check_golden(golden::shutoff_response(),
+               "03");
+  check_golden(golden::icmp_message(),
+               "0400000578000c000102030405060708090a0b");
+}
+
+TEST(MsgCodec, RandomizedCorpusMatchesGoldenDigest) {
+  // Every encoding the fixed-seed corpus produces, in order, hashed: one
+  // digest pins 325 randomized wire images (25 rounds x 13 messages).
   Gen g;
+  Corpus corpus;
   for (int iter = 0; iter < 25; ++iter) {
     {
       core::BootstrapRequest m;
       m.subscriber_id = static_cast<std::uint32_t>(g.rng.next_u64());
       m.credential = g.rng.bytes(1 + g.rng.next_u64() % 40);
       m.host_pub = g.arr<32>();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::BootstrapResponse m;
@@ -106,7 +244,7 @@ TEST(MsgCodec, AgreesWithLegacySerializeOnRandomizedMessages) {
       m.dns_cert = g.cert();
       m.aid = static_cast<core::Aid>(g.rng.next_u64());
       m.aa_ephid = g.ephid();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::EphIdRequest m;
@@ -115,12 +253,12 @@ TEST(MsgCodec, AgreesWithLegacySerializeOnRandomizedMessages) {
       m.flags = g.rng.next_u64() % 2 ? core::kRequestReceiveOnly : 0;
       m.lifetime = static_cast<core::EphIdLifetime>(g.rng.next_u64() % 3);
       m.pop_sig = g.arr<64>();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::EphIdResponse m;
       m.cert = g.cert();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::HandshakeInit m;
@@ -128,19 +266,19 @@ TEST(MsgCodec, AgreesWithLegacySerializeOnRandomizedMessages) {
       m.client_nonce = g.rng.next_u64();
       m.suite = static_cast<crypto::AeadSuite>(1 + g.rng.next_u64() % 3);
       if (g.rng.next_u64() % 2) m.early_data = g.rng.bytes(g.rng.next_u64() % 64);
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::HandshakeResponse m;
       m.serving_cert = g.cert();
       m.server_nonce = g.rng.next_u64();
       m.suite = static_cast<crypto::AeadSuite>(1 + g.rng.next_u64() % 3);
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::DnsQuery m;
       m.name = g.name();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::DnsResponse m;
@@ -153,74 +291,146 @@ TEST(MsgCodec, AgreesWithLegacySerializeOnRandomizedMessages) {
         rec.sig = g.arr<64>();
         m.record = rec;
       }
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::DnsPublish m;
       m.name = g.name();
       m.cert = g.cert();
       m.ipv4 = static_cast<std::uint32_t>(g.rng.next_u64());
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::ShutoffRequest m;
       m.offending_packet = g.rng.bytes(1 + g.rng.next_u64() % 128);
       m.sig = g.arr<64>();
       m.dst_cert = g.cert();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::EphIdRevokeRequest m;
       m.ephid = g.ephid();
       m.sig = g.arr<64>();
       m.cert = g.cert();
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::ShutoffResponse m;
       m.status = static_cast<std::uint8_t>(g.rng.next_u64());
-      check_codec(m);
+      check_codec(m, corpus);
     }
     {
       core::IcmpMessage m;
       m.type = static_cast<core::IcmpType>(g.rng.next_u64() % 5);
       m.code = static_cast<std::uint32_t>(g.rng.next_u64());
       m.data = g.rng.bytes(g.rng.next_u64() % 64);
-      check_codec(m);
+      check_codec(m, corpus);
     }
   }
+  EXPECT_EQ(corpus.messages, 325u);
+  EXPECT_EQ(corpus.bytes, 51365u);
+  const auto digest = corpus.sha.finish();
+  EXPECT_EQ(hex_encode(ByteSpan(digest.data(), digest.size())),
+            "d5ff0fa7425fc3e2e35ba5335dfb1240"
+            "8e4c417ab6f9b42aef4d11f7d874942e");
 }
 
-TEST(MsgCodec, CertEncodeIntoMatchesSerializeInto) {
-  Gen g;
-  for (int i = 0; i < 20; ++i) {
-    const core::EphIdCertificate c = g.cert();
-    const Bytes legacy = c.serialize();
-    wire::MsgWriter w(16);
-    c.encode_into(w);
-    ASSERT_EQ(legacy.size(), w.size());
-    EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), w.span().begin()));
-  }
+TEST(MsgCodec, CertGoldenBytes) {
+  const core::EphIdCertificate c = golden::cert();
+  wire::MsgWriter w(16);
+  c.encode_into(w);
+  EXPECT_EQ(hex_encode(w.span()),
+            "101112131415161718191a1b1c1d1e1f6553f484202122232425262728292a"
+            "2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243444546474849"
+            "4a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc006061626364"
+            "65666768696a6b6c6d6e6f01808182838485868788898a8b8c8d8e8f909192"
+            "939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1"
+            "b2b3b4b5b6b7b8b9babbbcbdbebf");
+  EXPECT_EQ(c.serialize(), Bytes(w.span().begin(), w.span().end()));
+
+  wire::MsgWriter svc(16);
+  golden::service_cert().encode_into(svc);
+  EXPECT_EQ(hex_encode(svc.span()),
+            "707172737475767778797a7b7c7d7e7f6553f484202122232425262728292a"
+            "2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243444546474849"
+            "4a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc006061626364"
+            "65666768696a6b6c6d6e6f02808182838485868788898a8b8c8d8e8f909192"
+            "939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1"
+            "b2b3b4b5b6b7b8b9babbbcbdbebf");
+
+  // The signed bytes are the wire form minus the trailing signature.
+  wire::MsgWriter tbs(16);
+  c.tbs_into(tbs);
+  EXPECT_EQ(hex_encode(tbs.span()),
+            "101112131415161718191a1b1c1d1e1f6553f484202122232425262728292a"
+            "2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243444546474849"
+            "4a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc006061626364"
+            "65666768696a6b6c6d6e6f01");
+
+  // Strict decoder: round trip, every prefix and one trailing byte.
+  auto back = core::EphIdCertificate::parse(w.span());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, c);
+  for (std::size_t cut = 0; cut < w.size(); ++cut)
+    EXPECT_FALSE(core::EphIdCertificate::parse(w.span().first(cut)).ok())
+        << cut;
+  Bytes extended(w.span().begin(), w.span().end());
+  extended.push_back(0);
+  EXPECT_FALSE(core::EphIdCertificate::parse(extended).ok());
 }
 
-TEST(MsgCodec, SealControlIntoMatchesSealControl) {
-  Gen g;
-  core::HostAsKeys keys{};
-  g.rng.fill(MutByteSpan(keys.enc.data(), keys.enc.size()));
-  g.rng.fill(MutByteSpan(keys.mac.data(), keys.mac.size()));
-  for (int i = 0; i < 8; ++i) {
-    const Bytes pt = g.rng.bytes(1 + g.rng.next_u64() % 96);
-    const std::uint64_t nonce = g.rng.next_u64();
-    const bool from_host = i % 2 == 0;
-    const Bytes legacy = core::seal_control(keys, nonce, from_host, pt);
+TEST(MsgCodec, SignedStatementGoldenBytes) {
+  EXPECT_EQ(hex_encode(golden::bootstrap_response().id_info_tbs()),
+            "303132333435363738393a3b3c3d3e3f655542800000beef");
+  const Bytes revoke =
+      core::EphIdRevokeRequest::revoke_tbs(golden::ephid(0x10));
+  EXPECT_EQ(hex_encode(revoke),
+            "001561706e612d766f6c756e746172792d7265766f6b651011121314151617"
+            "18191a1b1c1d1e1f");
+  wire::MsgWriter w(16);
+  golden::dns_record().tbs_into(w);
+  EXPECT_EQ(hex_encode(w.span()),
+            "000c73686f702e6578616d706c65101112131415161718191a1b1c1d1e1f65"
+            "53f484202122232425262728292a2b2c2d2e2f303132333435363738393a3b"
+            "3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a"
+            "5b5c5d5e5f0000fc00606162636465666768696a6b6c6d6e6f018081828384"
+            "85868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3"
+            "a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf0a0000"
+            "2a");
+}
+
+TEST(MsgCodec, SealControlGoldenVectors) {
+  // Fixed key, counter and plaintext, both directions: pins the nonce
+  // layout (direction byte, counter at offset 4) and the sealed framing.
+  const core::HostAsKeys keys = golden::seal_keys();
+  const Bytes pt = golden::seal_plaintext();
+  const std::pair<bool, std::string_view> vectors[] = {
+      {true,
+       "00000001000000023276378368b47c9acabfd4d7ffb3d8ffb397271417775dcd"
+       "4d416ba243351707cc12a75d"},
+      {false,
+       "000000010000000272e8c8f0d15dab35b1f7ba5dedaf69b7e5b26196b2ab2db6"
+       "51f4ffb6397d5d4297bf3bd4"},
+  };
+  for (const auto& [from_host, hex] : vectors) {
+    const Bytes sealed =
+        core::seal_control(keys, golden::kSealCounter, from_host, pt);
+    EXPECT_EQ(hex_encode(sealed), hex) << from_host;
     wire::MsgWriter w(16);
-    core::seal_control_into(w, keys, nonce, from_host, pt);
-    ASSERT_EQ(legacy.size(), w.size());
-    ASSERT_TRUE(std::equal(legacy.begin(), legacy.end(), w.span().begin()));
-    // And it opens.
-    auto opened = core::open_control(keys, from_host, w.span());
+    core::seal_control_into(w, keys, golden::kSealCounter, from_host, pt);
+    EXPECT_EQ(hex_encode(w.span()), hex) << from_host;
+
+    auto opened = core::open_control(keys, from_host, sealed);
     ASSERT_TRUE(opened.ok());
     EXPECT_EQ(*opened, pt);
+    wire::MsgWriter scratch(16);
+    auto opened_into =
+        core::open_control_into(scratch, keys, from_host, sealed);
+    ASSERT_TRUE(opened_into.ok());
+    EXPECT_EQ(Bytes(opened_into->begin(), opened_into->end()), pt);
+    // The other direction's nonce space never opens it.
+    EXPECT_EQ(core::open_control(keys, !from_host, sealed).code(),
+              Errc::decrypt_failed);
   }
 }
 
@@ -316,7 +526,7 @@ struct Fixture {
           static_cast<core::EphIdLifetime>(i % host::kLifetimeClasses);
       req.pop_sig = kp.sign(req.pop_tbs());
       out.push_back(core::seal_control(keys, nonce0 + i, true,
-                                       req.serialize()));
+                                       core::encode_msg(req)));
     }
     return out;
   }
@@ -513,7 +723,7 @@ TEST(ServicePool, BadPopInChunkRejectsOnlyThatRequest) {
     req.pop_sig = kp.sign(req.pop_tbs());
     if (i == 9) req.pop_sig[11] ^= 0x08;  // forge exactly one
     requests.push_back(
-        core::seal_control(f.keys, 1 + i, true, req.serialize()));
+        core::seal_control(f.keys, 1 + i, true, core::encode_msg(req)));
   }
   std::vector<services::ServicePool::IssueJob> jobs(kN);
   for (std::size_t i = 0; i < kN; ++i) jobs[i] = {f.ctrl, requests[i]};

@@ -658,7 +658,7 @@ TEST(Messages, EphIdRequestRoundtrip) {
   req.flags = kRequestReceiveOnly;
   req.lifetime = EphIdLifetime::medium_term;
   req.pop_sig = kp.sign(req.pop_tbs());
-  auto parsed = EphIdRequest::parse(req.serialize());
+  auto parsed = decode_msg<EphIdRequest>(encode_msg(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ephid_pub, req.ephid_pub);
   EXPECT_EQ(parsed->flags, req.flags);
@@ -675,7 +675,7 @@ TEST(Messages, BootstrapRequestRoundtrip) {
   req.subscriber_id = 1234;
   req.credential = rng.bytes(20);
   req.host_pub = crypto::X25519KeyPair::generate(rng).pub;
-  auto parsed = BootstrapRequest::parse(req.serialize());
+  auto parsed = decode_msg<BootstrapRequest>(encode_msg(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->subscriber_id, 1234u);
   EXPECT_EQ(hex_encode(parsed->credential), hex_encode(req.credential));
@@ -687,7 +687,7 @@ TEST(Messages, ShutoffRequestRoundtrip) {
   req.offending_packet = f.rng.bytes(80);
   f.rng.fill(MutByteSpan(req.sig.data(), 64));
   req.dst_cert = f.make(500);
-  auto parsed = ShutoffRequest::parse(req.serialize());
+  auto parsed = decode_msg<ShutoffRequest>(encode_msg(req));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(hex_encode(parsed->offending_packet),
             hex_encode(req.offending_packet));
@@ -695,27 +695,32 @@ TEST(Messages, ShutoffRequestRoundtrip) {
 }
 
 TEST(Messages, DnsRecordSignedRoundtrip) {
+  const auto tbs = [](const DnsRecord& r) {
+    wire::MsgWriter w;
+    r.tbs_into(w);
+    return w.take();
+  };
   CertFixture f;
   crypto::Ed25519KeyPair dns_key = crypto::Ed25519KeyPair::generate(f.rng);
   DnsRecord rec;
   rec.name = "shop.example";
   rec.cert = f.make(500, kCertReceiveOnly);
   rec.ipv4 = 0x0a000042;
-  rec.sig = dns_key.sign(rec.tbs());
+  rec.sig = dns_key.sign(tbs(rec));
 
   DnsResponse resp;
   resp.status = 0;
   resp.record = rec;
-  auto parsed = DnsResponse::parse(resp.serialize());
+  auto parsed = decode_msg<DnsResponse>(encode_msg(resp));
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed->record.has_value());
   EXPECT_EQ(parsed->record->name, "shop.example");
-  EXPECT_TRUE(crypto::ed25519_verify(dns_key.pub, parsed->record->tbs(),
+  EXPECT_TRUE(crypto::ed25519_verify(dns_key.pub, tbs(*parsed->record),
                                      parsed->record->sig));
   // Tampered name invalidates the DNSSEC-style signature.
   auto bad = *parsed->record;
   bad.name = "evil.example";
-  EXPECT_FALSE(crypto::ed25519_verify(dns_key.pub, bad.tbs(), bad.sig));
+  EXPECT_FALSE(crypto::ed25519_verify(dns_key.pub, tbs(bad), bad.sig));
 }
 
 TEST(Messages, IcmpRoundtripAndBadTypeRejected) {
@@ -723,14 +728,14 @@ TEST(Messages, IcmpRoundtripAndBadTypeRejected) {
   m.type = IcmpType::packet_too_big;
   m.code = 1280;
   m.data = to_bytes("hdr");
-  auto parsed = IcmpMessage::parse(m.serialize());
+  auto parsed = decode_msg<IcmpMessage>(encode_msg(m));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->type, IcmpType::packet_too_big);
   EXPECT_EQ(parsed->code, 1280u);
 
-  Bytes bad = m.serialize();
+  Bytes bad = encode_msg(m);
   bad[0] = 0x66;
-  EXPECT_FALSE(IcmpMessage::parse(bad).ok());
+  EXPECT_FALSE(decode_msg<IcmpMessage>(bad).ok());
 }
 
 TEST(Messages, HandshakeInitRoundtrip) {
@@ -740,7 +745,7 @@ TEST(Messages, HandshakeInitRoundtrip) {
   init.client_nonce = 0x1234;
   init.suite = crypto::AeadSuite::aes128_gcm;
   init.early_data = f.rng.bytes(32);
-  auto parsed = HandshakeInit::parse(init.serialize());
+  auto parsed = decode_msg<HandshakeInit>(encode_msg(init));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->client_cert, init.client_cert);
   EXPECT_EQ(parsed->suite, crypto::AeadSuite::aes128_gcm);

@@ -1,5 +1,5 @@
-// DNS subsystem tests (§VII-A): wire codec (boundary names, frame pinning,
-// per-byte truncation), domain trie (exact/parent/sibling/override), the
+// DNS subsystem tests (§VII-A): wire codec (boundary names, golden frame
+// bytes, per-byte truncation), domain trie (exact/parent/sibling/override), the
 // sharded TTL/negative cache (epoch invalidation, LRU, negative bounds),
 // the resolver (cached ≡ uncached across zone updates, upstream
 // timeout/backoff), the zone store and the DnsService front (migrated from
@@ -18,6 +18,9 @@
 #include "services/accountability_agent.h"
 #include "services/dns_zone.h"
 #include "services/service_identity.h"
+#include "util/hex.h"
+
+#include "golden_codec.h"
 
 namespace apna::dns {
 namespace {
@@ -99,85 +102,89 @@ core::DnsRecord make_record(const std::string& name, std::uint32_t ipv4) {
   return rec;
 }
 
-TEST(DnsWire, QueryFramePinnedAndRoundtrips) {
-  QueryFrame q;
-  q.id = 0xbeef;
-  q.name = "shop.example";
-
-  auto ref = q.serialize();
-  ASSERT_TRUE(ref.ok());
+/// The frame's encoding through the one codec (empty when encode refuses).
+template <class F>
+Bytes encode_frame(const F& frame) {
   wire::MsgWriter w(64);
-  ASSERT_TRUE(q.encode(w).ok());
-  // Hot-path codec is byte-identical to the reference codec.
-  ASSERT_EQ(w.span().size(), ref->size());
-  EXPECT_TRUE(std::equal(ref->begin(), ref->end(), w.span().begin()));
+  if (!frame.encode(w)) return Bytes{};
+  return w.take();
+}
 
-  auto back = QueryFrame::parse(ByteSpan(ref->data(), ref->size()));
+// The hex vectors are the checked-in wire images of tests/golden_codec.h's
+// frames: a change here is a wire-format change and must be deliberate.
+
+TEST(DnsWire, QueryFramePinnedAndRoundtrips) {
+  const QueryFrame q = golden::query_frame();
+  const Bytes wire_bytes = encode_frame(q);
+  EXPECT_EQ(hex_encode(wire_bytes),
+            "00beef0473686f70076578616d706c6500");
+
+  auto back = core::decode_msg<QueryFrame>(wire_bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->id, q.id);
   EXPECT_EQ(back->name, q.name);
 }
 
 TEST(DnsWire, ResponseFramePinnedAndRoundtrips) {
-  ResponseFrame resp;
-  resp.id = 7;
-  resp.rcode = Rcode::ok;
-  resp.ttl = 300;
-  resp.name = "shop.example";
-  resp.record = make_record("shop.example", 0x0a00002a);
+  const ResponseFrame resp = golden::response_frame();
+  const Bytes wire_bytes = encode_frame(resp);
+  EXPECT_EQ(hex_encode(wire_bytes),
+            "010007000000012c0473686f70076578616d706c650001000c73686f702e65"
+            "78616d706c65101112131415161718191a1b1c1d1e1f6553f4842021222324"
+            "25262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243"
+            "4445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f0000fc"
+            "00606162636465666768696a6b6c6d6e6f01808182838485868788898a8b8c"
+            "8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaab"
+            "acadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf0a00002ae0e1e2e3e4e5e6"
+            "e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff000102030405"
+            "060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
 
-  auto ref = resp.serialize();
-  ASSERT_TRUE(ref.ok());
-  wire::MsgWriter w(600);
-  ASSERT_TRUE(resp.encode(w).ok());
-  ASSERT_EQ(w.span().size(), ref->size());
-  EXPECT_TRUE(std::equal(ref->begin(), ref->end(), w.span().begin()));
-
-  auto back = ResponseFrame::parse(ByteSpan(ref->data(), ref->size()));
+  auto back = core::decode_msg<ResponseFrame>(wire_bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->id, resp.id);
   EXPECT_EQ(back->rcode, Rcode::ok);
   EXPECT_EQ(back->ttl, 300u);
   ASSERT_TRUE(back->record.has_value());
+  EXPECT_EQ(back->record->cert, resp.record->cert);
+  EXPECT_EQ(back->record->sig, resp.record->sig);
   EXPECT_EQ(back->record->name, "shop.example");
   EXPECT_EQ(back->record->ipv4, 0x0a00002au);
 }
 
 TEST(DnsWire, RecordPresentIffOk) {
-  ResponseFrame nx;
-  nx.id = 8;
-  nx.rcode = Rcode::nxdomain;
-  nx.ttl = 30;
-  nx.name = "missing.example";
-  auto bytes = nx.serialize();
-  ASSERT_TRUE(bytes.ok());
-  auto back = ResponseFrame::parse(ByteSpan(bytes->data(), bytes->size()));
+  ResponseFrame nx = golden::response_frame_nxdomain();
+  const Bytes wire_bytes = encode_frame(nx);
+  EXPECT_EQ(hex_encode(wire_bytes),
+            "010008030000001e076d697373696e67076578616d706c650000");
+  auto back = core::decode_msg<ResponseFrame>(wire_bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back->record.has_value());
 
-  // rcode==ok without a record must not serialize.
+  // rcode==ok without a record must not encode, and writes nothing.
   ResponseFrame broken;
   broken.rcode = Rcode::ok;
   broken.name = "x.example";
-  EXPECT_FALSE(broken.serialize().ok());
+  wire::MsgWriter w(64);
+  EXPECT_FALSE(broken.encode(w).ok());
+  EXPECT_EQ(w.size(), 0u);
   // ... and nxdomain WITH a record must not either.
   nx.record = make_record("missing.example", 1);
-  EXPECT_FALSE(nx.serialize().ok());
+  EXPECT_FALSE(nx.encode(w).ok());
+  EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(DnsWire, PerByteTruncationRejected) {
   QueryFrame q;
   q.id = 321;
   q.name = "a.bb.ccc.dddd.example";
-  auto qb = q.serialize();
-  ASSERT_TRUE(qb.ok());
-  for (std::size_t len = 0; len < qb->size(); ++len)
-    EXPECT_FALSE(QueryFrame::parse(ByteSpan(qb->data(), len)).ok())
+  const Bytes qb = encode_frame(q);
+  ASSERT_FALSE(qb.empty());
+  for (std::size_t len = 0; len < qb.size(); ++len)
+    EXPECT_FALSE(core::decode_msg<QueryFrame>(ByteSpan(qb.data(), len)).ok())
         << "query prefix " << len;
-  Bytes extended = *qb;
+  Bytes extended = qb;
   extended.push_back(0);  // trailing byte: whole-buffer strictness
-  EXPECT_FALSE(
-      QueryFrame::parse(ByteSpan(extended.data(), extended.size())).ok());
+  EXPECT_FALSE(core::decode_msg<QueryFrame>(extended).ok());
 
   ResponseFrame resp;
   resp.id = 99;
@@ -185,14 +192,15 @@ TEST(DnsWire, PerByteTruncationRejected) {
   resp.ttl = 60;
   resp.name = "shop.example";
   resp.record = make_record("shop.example", 42);
-  auto rb = resp.serialize();
-  ASSERT_TRUE(rb.ok());
-  for (std::size_t len = 0; len < rb->size(); ++len)
-    EXPECT_FALSE(ResponseFrame::parse(ByteSpan(rb->data(), len)).ok())
+  const Bytes rb = encode_frame(resp);
+  ASSERT_FALSE(rb.empty());
+  for (std::size_t len = 0; len < rb.size(); ++len)
+    EXPECT_FALSE(
+        core::decode_msg<ResponseFrame>(ByteSpan(rb.data(), len)).ok())
         << "response prefix " << len;
-  Bytes rext = *rb;
+  Bytes rext = rb;
   rext.push_back(7);
-  EXPECT_FALSE(ResponseFrame::parse(ByteSpan(rext.data(), rext.size())).ok());
+  EXPECT_FALSE(core::decode_msg<ResponseFrame>(rext).ok());
 }
 
 // ---- domain trie -------------------------------------------------------------
@@ -580,7 +588,7 @@ TEST(Resolver, MismatchedUpstreamAnswerNeverFillsCache) {
   // Capture the outgoing query so we can forge answers against its id.
   std::optional<QueryFrame> seen;
   f.client.set_upstream([&](Bytes frame) {
-    auto q = QueryFrame::parse(ByteSpan(frame.data(), frame.size()));
+    auto q = core::decode_msg<QueryFrame>(frame);
     if (q && !seen) seen = *q;
   });
   std::vector<Resolver::Answer> got;
@@ -595,9 +603,9 @@ TEST(Resolver, MismatchedUpstreamAnswerNeverFillsCache) {
   forged.ttl = 300;
   forged.name = "attacker.example";
   forged.record = make_record("attacker.example", 666);
-  auto fb = forged.serialize();
-  ASSERT_TRUE(fb.ok());
-  f.client.on_upstream_frame(ByteSpan(fb->data(), fb->size()));
+  const Bytes fb = encode_frame(forged);
+  ASSERT_FALSE(fb.empty());
+  f.client.on_upstream_frame(fb);
   EXPECT_TRUE(got.empty());  // pending query unaffected
   EXPECT_EQ(f.client.stats().upstream_mismatched, 1u);
   EXPECT_EQ(f.client.cache().size(), 0u);
@@ -672,7 +680,9 @@ TEST(DnsService, PublishResolveRoundtrip) {
   EXPECT_EQ(resp->record->cert, f.host_cert);
   EXPECT_EQ(resp->record->ipv4, 0x0a00002au);
   // Record carries a valid DNSSEC-style signature.
-  EXPECT_TRUE(crypto::ed25519_verify(f.dns.record_key(), resp->record->tbs(),
+  wire::MsgWriter tbs(256);
+  resp->record->tbs_into(tbs);
+  EXPECT_TRUE(crypto::ed25519_verify(f.dns.record_key(), tbs.span(),
                                      resp->record->sig));
 
   // Cached answer (second resolve) is identical — ed25519 re-signing is

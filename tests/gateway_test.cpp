@@ -52,6 +52,59 @@ TEST(NatAp, InnerHostBootstrapsAndGetsRealAsEphIds) {
   EXPECT_EQ(ap.stats().proxied_ephids, 1u);
 }
 
+TEST(NatAp, InnerRequestWithTrailingByteGetsNoCertificate) {
+  // The AP validates a proxied Fig-3 request exactly like the real MS: a
+  // request payload with trailing garbage, which the MS's strict decoder
+  // refuses, must not be re-encoded and certified through the AP either.
+  GwWorld w;
+  NatAccessPoint ap({.name = "ap"}, *w.as_a, w.net.directory());
+  host::Host& inner = ap.add_inner_host("laptop");
+  ASSERT_TRUE(inner.bootstrapped());
+
+  // The inner host's kHA, rebuilt the way the host derives it: its first
+  // RNG draw (seeded from its name) is the long-term key of Fig 2.
+  crypto::ChaChaRng host_rng(to_bytes("laptop"));
+  const auto long_term = crypto::X25519KeyPair::generate(host_rng);
+  const auto realm = w.net.directory().lookup(inner.aid());
+  ASSERT_TRUE(realm.has_value());
+  const core::HostAsKeys kha = core::HostAsKeys::derive(
+      crypto::x25519_shared(long_term.priv, realm->dh_pub));
+
+  // Capture one genuine request on its way to the AP's inner MS.
+  std::vector<wire::PacketBuf> uplink;
+  inner.set_uplink(
+      [&](wire::PacketBuf pkt) { uplink.push_back(std::move(pkt)); });
+  std::optional<Result<const host::OwnedEphId*>> issued;
+  inner.request_ephid(core::EphIdLifetime::short_term, 0,
+                      [&](Result<const host::OwnedEphId*> r) {
+                        issued = std::move(r);
+                      });
+  ASSERT_EQ(uplink.size(), 1u);
+  const wire::PacketView& genuine = uplink[0].view();
+  auto plain = core::open_control(kha, /*from_host=*/true, genuine.payload());
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(core::decode_msg<core::EphIdRequest>(*plain).ok());
+
+  // Same request, one byte appended, resealed under the inner kHA.
+  Bytes padded = *plain;
+  padded.push_back(0);
+  wire::PacketWriter pw(genuine.src_aid(), genuine.src_ephid(),
+                        genuine.dst_aid(), genuine.dst_ephid(),
+                        wire::NextProto::control);
+  core::seal_control_into(pw, kha, 1000, /*from_host=*/true, padded);
+  ap.inject_inner(pw.finish());
+  w.net.run();
+  EXPECT_EQ(ap.stats().proxied_ephids, 0u);
+  EXPECT_FALSE(issued.has_value());
+
+  // The genuine request still goes through (the rejection is the decoder's).
+  ap.inject_inner(std::move(uplink[0]));
+  w.net.run();
+  EXPECT_EQ(ap.stats().proxied_ephids, 1u);
+  ASSERT_TRUE(issued.has_value());
+  EXPECT_TRUE(issued->ok());
+}
+
 TEST(NatAp, InnerHostTalksToTheInternet) {
   GwWorld w;
   NatAccessPoint ap({.name = "home-ap"}, *w.as_a, w.net.directory());

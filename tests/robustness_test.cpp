@@ -60,10 +60,10 @@ std::vector<Format> formats() {
                    m.subscriber_id = 1;
                    m.credential = rng().bytes(10);
                    m.host_pub = crypto::X25519KeyPair::generate(rng()).pub;
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::BootstrapRequest::parse(d).ok();
+                   return core::decode_msg<core::BootstrapRequest>(d).ok();
                  }});
   out.push_back({"BootstrapResponse",
                  [] {
@@ -75,26 +75,26 @@ std::vector<Format> formats() {
                    m.ms_cert = sample_cert();
                    m.dns_cert = sample_cert();
                    m.aid = 64512;
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::BootstrapResponse::parse(d).ok();
+                   return core::decode_msg<core::BootstrapResponse>(d).ok();
                  }});
   out.push_back({"EphIdRequest",
                  [] {
                    core::EphIdRequest m;
                    m.ephid_pub = core::EphIdKeyPair::generate(rng()).pub;
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
-                 [](ByteSpan d) { return core::EphIdRequest::parse(d).ok(); }});
+                 [](ByteSpan d) { return core::decode_msg<core::EphIdRequest>(d).ok(); }});
   out.push_back({"EphIdResponse",
                  [] {
                    core::EphIdResponse m;
                    m.cert = sample_cert();
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::EphIdResponse::parse(d).ok();
+                   return core::decode_msg<core::EphIdResponse>(d).ok();
                  }});
   out.push_back({"HandshakeInit",
                  [] {
@@ -102,28 +102,28 @@ std::vector<Format> formats() {
                    m.client_cert = sample_cert();
                    m.client_nonce = 5;
                    m.early_data = rng().bytes(20);
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::HandshakeInit::parse(d).ok();
+                   return core::decode_msg<core::HandshakeInit>(d).ok();
                  }});
   out.push_back({"HandshakeResponse",
                  [] {
                    core::HandshakeResponse m;
                    m.serving_cert = sample_cert();
                    m.server_nonce = 6;
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::HandshakeResponse::parse(d).ok();
+                   return core::decode_msg<core::HandshakeResponse>(d).ok();
                  }});
   out.push_back({"DnsQuery",
                  [] {
                    core::DnsQuery q;
                    q.name = "robustness.example";
-                   return q.serialize();
+                   return core::encode_msg(q);
                  },
-                 [](ByteSpan d) { return core::DnsQuery::parse(d).ok(); }});
+                 [](ByteSpan d) { return core::decode_msg<core::DnsQuery>(d).ok(); }});
   out.push_back({"DnsResponse",
                  [] {
                    core::DnsResponse m;
@@ -133,27 +133,27 @@ std::vector<Format> formats() {
                    rec.cert = sample_cert();
                    rng().fill(MutByteSpan(rec.sig.data(), 64));
                    m.record = rec;
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
-                 [](ByteSpan d) { return core::DnsResponse::parse(d).ok(); }});
+                 [](ByteSpan d) { return core::decode_msg<core::DnsResponse>(d).ok(); }});
   out.push_back({"DnsPublish",
                  [] {
                    core::DnsPublish m;
                    m.name = "pub.example";
                    m.cert = sample_cert();
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
-                 [](ByteSpan d) { return core::DnsPublish::parse(d).ok(); }});
+                 [](ByteSpan d) { return core::decode_msg<core::DnsPublish>(d).ok(); }});
   out.push_back({"ShutoffRequest",
                  [] {
                    core::ShutoffRequest m;
                    m.offending_packet = rng().bytes(80);
                    rng().fill(MutByteSpan(m.sig.data(), 64));
                    m.dst_cert = sample_cert();
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::ShutoffRequest::parse(d).ok();
+                   return core::decode_msg<core::ShutoffRequest>(d).ok();
                  }});
   out.push_back({"EphIdRevokeRequest",
                  [] {
@@ -161,19 +161,19 @@ std::vector<Format> formats() {
                    rng().fill(MutByteSpan(m.ephid.bytes.data(), 16));
                    rng().fill(MutByteSpan(m.sig.data(), 64));
                    m.cert = sample_cert();
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
                  [](ByteSpan d) {
-                   return core::EphIdRevokeRequest::parse(d).ok();
+                   return core::decode_msg<core::EphIdRevokeRequest>(d).ok();
                  }});
   out.push_back({"IcmpMessage",
                  [] {
                    core::IcmpMessage m;
                    m.type = core::IcmpType::echo_request;
                    m.data = rng().bytes(24);
-                   return m.serialize();
+                   return core::encode_msg(m);
                  },
-                 [](ByteSpan d) { return core::IcmpMessage::parse(d).ok(); }});
+                 [](ByteSpan d) { return core::decode_msg<core::IcmpMessage>(d).ok(); }});
   out.push_back({"Ipv4Packet",
                  [] {
                    wire::Ipv4Packet p;
