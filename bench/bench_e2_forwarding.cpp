@@ -2,8 +2,9 @@
 // and E11 (baseline overhead comparison).
 // Metric: per-packet pipeline cost (ns/pkt) for the exact Fig 4 egress
 // checks, projected onto the paper's 120 Gbps port model; plus aggregate
-// pkts/s of the concurrent data plane — ForwardingPool over scalar /
-// batched kernels AND the verified-flow cache on a flow-local (Zipf)
+// pkts/s of the concurrent data plane — the per-packet kernel (one packet
+// per classify call) against ForwardingPool bursts, which run the fused
+// batch pipeline, AND the verified-flow cache on a flow-local (Zipf)
 // workload: hit-rate, pps-vs-hit-rate and --threads axes are recorded to
 // BENCH_e2.json together with the zero-copy accounting: heap allocations
 // per forwarded packet (asserted == 0 in steady state) and copied bytes
@@ -172,31 +173,22 @@ struct PoolRun {
 /// Measurement window (seconds); --smoke shrinks it.
 double g_measure_s = 0.4;
 
-/// Wall-clock pkts/s of a ForwardingPool over a cycling schedule of
-/// bursts, with zero-copy and flow-cache accounting taken over the
-/// measurement window (after warm-up).
-PoolRun pool_run(router::BorderRouter& br,
-                 std::span<const std::vector<wire::PacketView>> schedule,
-                 core::ExpTime now, std::size_t threads,
-                 router::ForwardingPool::Kernel kernel,
-                 std::size_t cache_entries) {
-  router::ForwardingPool::Config cfg;
-  cfg.threads = threads;
-  cfg.chunk_packets = 64;
-  cfg.kernel = kernel;
-  cfg.flow_cache_entries = cache_entries;
-  router::ForwardingPool pool(br, cfg);
+using Schedule = std::span<const std::vector<wire::PacketView>>;
 
-  using Clock = std::chrono::steady_clock;
-  // Warmup (populates the per-thread buffer pools, the verdict buffer and
-  // — when enabled — the flow caches), then measure.
+/// Runs `step` over the schedule's bursts a few times: populates the
+/// per-thread buffer pools, the verdict buffers and — when enabled — the
+/// flow caches before anything is measured.
+template <typename Step>
+void warm_up(Schedule schedule, Step&& step) {
   for (std::size_t i = 0; i < std::max<std::size_t>(4, schedule.size()); ++i)
-    pool.process_outgoing(schedule[i % schedule.size()], now);
+    step(schedule[i % schedule.size()]);
+}
 
-  // Read the cache stats BEFORE the alloc snapshot: flow_cache_stats()
-  // builds the cross-worker duplicate map (a stats read, not a fast path —
-  // it may allocate) and must not pollute the 0-allocs/packet window.
-  const core::FlowCache::Stats cache0 = pool.flow_cache_stats();
+/// Wall-clock pkts/s of `step` cycling over the schedule for g_measure_s,
+/// with the zero-copy accounting taken over the same window.
+template <typename Step>
+PoolRun measure(Schedule schedule, Step&& step) {
+  using Clock = std::chrono::steady_clock;
   const std::uint64_t allocs0 = util::heap_alloc_count();
   const wire::CopyAudit audit0 = wire::copy_audit();
   std::size_t packets = 0, iter = 0;
@@ -204,7 +196,7 @@ PoolRun pool_run(router::BorderRouter& br,
   double elapsed = 0;
   do {
     const auto& burst = schedule[iter++ % schedule.size()];
-    pool.process_outgoing(burst, now);
+    step(burst);
     packets += burst.size();
     elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
   } while (elapsed < g_measure_s);
@@ -218,6 +210,28 @@ PoolRun pool_run(router::BorderRouter& br,
   run.copy_bytes_per_pkt =
       static_cast<double>(wire::copy_audit().copy_bytes - audit0.copy_bytes) /
       packets;
+  return run;
+}
+
+/// Wall-clock pkts/s of a ForwardingPool over a cycling schedule of
+/// bursts, with zero-copy and flow-cache accounting taken over the
+/// measurement window (after warm-up).
+PoolRun pool_run(router::BorderRouter& br, Schedule schedule,
+                 core::ExpTime now, std::size_t threads,
+                 std::size_t cache_entries) {
+  router::ForwardingPool::Config cfg;
+  cfg.threads = threads;
+  cfg.flow_cache_entries = cache_entries;
+  router::ForwardingPool pool(br, cfg);
+  const auto step = [&](std::span<const wire::PacketView> burst) {
+    pool.process_outgoing(burst, now);
+  };
+  warm_up(schedule, step);
+  // Read the cache stats BEFORE the alloc snapshot: flow_cache_stats()
+  // builds the cross-worker duplicate map (a stats read, not a fast path —
+  // it may allocate) and must not pollute the 0-allocs/packet window.
+  const core::FlowCache::Stats cache0 = pool.flow_cache_stats();
+  PoolRun run = measure(schedule, step);
   const core::FlowCache::Stats cache1 = pool.flow_cache_stats();
   const std::uint64_t lookups =
       (cache1.hits - cache0.hits) + (cache1.misses - cache0.misses);
@@ -226,14 +240,25 @@ PoolRun pool_run(router::BorderRouter& br,
   return run;
 }
 
-/// Single-burst convenience (the uniform-workload measurements).
-PoolRun pool_run(router::BorderRouter& br,
-                 std::span<const wire::PacketView> burst, core::ExpTime now,
-                 std::size_t threads, router::ForwardingPool::Kernel kernel,
-                 std::size_t cache_entries) {
-  std::vector<std::vector<wire::PacketView>> schedule(1);
-  schedule[0].assign(burst.begin(), burst.end());
-  return pool_run(br, schedule, now, threads, kernel, cache_entries);
+/// The per-packet kernel over the same schedule: the router is fed one
+/// packet per classify_outgoing_burst + apply_outgoing_verdicts call (a
+/// 1-packet span is always below BorderRouter::kFusedMinBurst), uncached,
+/// on the calling thread.
+PoolRun per_packet_run(router::BorderRouter& br, Schedule schedule,
+                       core::ExpTime now) {
+  router::BorderRouter::Stats stats;
+  router::BorderRouter::Verdict verdict;
+  const auto step = [&](std::span<const wire::PacketView> burst) {
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      const auto one = burst.subspan(i, 1);
+      br.classify_outgoing_burst(one, now, std::span(&verdict, 1), stats);
+      br.apply_outgoing_verdicts(
+          one, std::span<const router::BorderRouter::Verdict>(&verdict, 1),
+          stats);
+    }
+  };
+  warm_up(schedule, step);
+  return measure(schedule, step);
 }
 
 // ---- Loopback UDP leg: the pipeline behind a real socket ---------------------
@@ -242,6 +267,12 @@ struct LoopbackPoint {
   std::size_t workers = 0;
   double pps = 0;             // packets forwarded per second, RX side
   double allocs_per_pkt = 0;  // steady-state heap allocs per RX'd packet
+  // Attribution of the same window's allocations, for the FATAL line: the
+  // RX thread's own operator-new calls, everyone else's (pool workers, the
+  // TX blaster), and the RX thread's BufferPool misses.
+  std::uint64_t rx_allocs = 0;
+  std::uint64_t other_allocs = 0;
+  std::uint64_t rx_pool_misses = 0;
 };
 
 /// One measured worker count over the live TX blast. `rx` is drained on
@@ -253,29 +284,40 @@ LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
                              double measure_s) {
   router::ForwardingPool::Config cfg;
   cfg.threads = workers;
-  cfg.kernel = router::ForwardingPool::Kernel::batched;
   cfg.flow_cache_entries = 4096;  // steering keeps each flow's entry hot
   router::ForwardingPool pool(*s.br, cfg);
 
+  // The most packets one spin iteration can hold: polling stops once
+  // burst_size is reached, but the last poll may bring a whole rx_batch.
+  const net::UdpTransport::Config rx_cfg;
+  const std::size_t max_burst = burst_size + rx_cfg.rx_batch;
+
   std::vector<wire::PacketBuf> owned;
   std::vector<wire::PacketView> views;
-  owned.reserve(burst_size);
-  views.reserve(burst_size);
+  owned.reserve(max_burst);
+  views.reserve(max_burst);
   rx.set_rx([&](net::PeerId, wire::PacketBuf p) {
     views.push_back(p.view());
     owned.push_back(std::move(p));  // Bytes move: the view stays valid
   });
 
-  // Deterministic worst-case warm-up of the pool's reusable buffers: a
-  // full-size single-flow burst per flow bounds every per-slot ring /
-  // gather / scratch at burst_size, so the measured window cannot grow a
-  // vector no matter how the live bursts skew across workers.
+  // Deterministic worst-case warm-up of every reusable buffer, so the
+  // measured window cannot grow one however the live bursts back up or
+  // skew across workers: a max_burst single-flow burst per flow bounds the
+  // pool's verdict buffer and every per-slot ring / gather / scratch, and
+  // this thread's BufferPool is filled with max_burst RX buffers (plus
+  // the handoff copy in flight). A warm-up spin that never saw the socket
+  // back up holds fewer than that.
   {
-    std::vector<wire::PacketView> synth(burst_size);
+    std::vector<wire::PacketView> synth(max_burst);
     for (const wire::PacketView& v : flows.views) {
-      synth.assign(burst_size, v);
+      synth.assign(max_burst, v);
       pool.process_outgoing(synth, s.now);
     }
+    std::vector<Bytes> held(max_burst + 1);
+    for (Bytes& b : held)
+      b = wire::BufferPool::local().acquire(rx_cfg.rx_buf_bytes);
+    for (Bytes& b : held) wire::BufferPool::local().release(std::move(b));
   }
 
   using Clock = std::chrono::steady_clock;
@@ -301,16 +343,20 @@ LoopbackPoint loopback_point(Setup& s, net::Transport& rx,
 
   spin(warm_s);  // warm pools, peer table, RX buffers
   const std::uint64_t allocs0 = util::heap_alloc_count();
+  const std::uint64_t rx_allocs0 = util::thread_heap_alloc_count();
+  const std::uint64_t misses0 = wire::BufferPool::local().stats().misses;
   const double elapsed = spin(measure_s);
+  const std::uint64_t allocs = util::heap_alloc_count() - allocs0;
 
   LoopbackPoint pt;
   pt.workers = workers;
   pt.pps = static_cast<double>(packets) / elapsed;
-  pt.allocs_per_pkt = packets == 0
-                          ? 0.0
-                          : static_cast<double>(util::heap_alloc_count() -
-                                                allocs0) /
-                                static_cast<double>(packets);
+  pt.allocs_per_pkt = packets == 0 ? 0.0
+                                   : static_cast<double>(allocs) /
+                                         static_cast<double>(packets);
+  pt.rx_allocs = util::thread_heap_alloc_count() - rx_allocs0;
+  pt.other_allocs = allocs - pt.rx_allocs;
+  pt.rx_pool_misses = wire::BufferPool::local().stats().misses - misses0;
   rx.set_rx({});
   return pt;
 }
@@ -477,10 +523,10 @@ int main(int argc, char** argv) {
 
     std::printf("\n§VIII extension ablation (512 B packets):\n");
     std::printf("  %-44s %8.0f ns/pkt\n", "Fig 4 pipeline", plain_ns);
-    std::printf("  %-44s %8.0f ns/pkt (+%.0f%%)\n",
+    std::printf("  %-44s %8.0f ns/pkt (%+.0f%%)\n",
                 "+ path stamping (§VIII-C)", stamp_ns,
                 100.0 * (stamp_ns - plain_ns) / plain_ns);
-    std::printf("  %-44s %8.0f ns/pkt (+%.0f%%)\n",
+    std::printf("  %-44s %8.0f ns/pkt (%+.0f%%)\n",
                 "+ in-network replay filter (§VIII-D)", replay_ns,
                 100.0 * (replay_ns - plain_ns) / plain_ns);
   }
@@ -493,7 +539,6 @@ int main(int argc, char** argv) {
 
   // ---- Concurrent data plane: kernels, flow cache, Zipf + threads sweeps ----
   {
-    using Kernel = router::ForwardingPool::Kernel;
     const std::size_t burst_size = parse_burst(argc, argv);
     const auto thread_list = smoke ? std::vector<std::size_t>{1, 2}
                                    : parse_thread_list(argc, argv, cores);
@@ -501,9 +546,11 @@ int main(int argc, char** argv) {
     SealedBurst burst;
     for (std::size_t i = 0; i < burst_size; ++i)
       burst.push(s.make_packet(kFrame, static_cast<core::Hid>(1 + (i % 1024))));
+    const std::vector<std::vector<wire::PacketView>> uniform{burst.views};
 
-    // Verdict equivalence over a mixed burst: the scalar, batched and
-    // CACHED pipelines must drop exactly the same packets (cold and warm).
+    // Verdict equivalence over a mixed burst: the per-packet kernel (one
+    // packet per call), the fused pipeline (the whole burst) and the CACHED
+    // fused pipeline must drop exactly the same packets (cold and warm).
     SealedBurst mixed;
     for (std::size_t i = 0; i < burst_size; ++i) {
       auto pkt = s.make_packet(kFrame, static_cast<core::Hid>(1 + (i % 1024)));
@@ -518,11 +565,13 @@ int main(int argc, char** argv) {
     std::vector<router::BorderRouter::Verdict> vc(mixed.views.size());
     router::BorderRouter::Stats sb, ss, sc;
     core::FlowCache cache(4096);
-    s.br->classify_outgoing_burst(mixed.views, s.now, vb, sb, /*batched=*/true);
-    s.br->classify_outgoing_burst(mixed.views, s.now, vs, ss, /*batched=*/false);
+    s.br->classify_outgoing_burst(mixed.views, s.now, vb, sb);
+    for (std::size_t i = 0; i < mixed.views.size(); ++i)
+      s.br->classify_outgoing_burst(std::span(mixed.views).subspan(i, 1), s.now,
+                                    std::span(vs).subspan(i, 1), ss);
     bool verdicts_equal = true;
     for (int pass = 0; pass < 2; ++pass) {  // cold then warm cache
-      s.br->classify_outgoing_burst(mixed.views, s.now, vc, sc, true, &cache);
+      s.br->classify_outgoing_burst(mixed.views, s.now, vc, sc, &cache);
       for (std::size_t i = 0; i < mixed.views.size(); ++i)
         if (vc[i].err != vb[i].err) verdicts_equal = false;
     }
@@ -530,19 +579,18 @@ int main(int argc, char** argv) {
       if (vb[i].err != vs[i].err) verdicts_equal = false;
     std::printf("\nConcurrent data plane (burst %zu x %zu B, %u hw cores):\n",
                 burst_size, kFrame, cores);
-    std::printf("  scalar/batched/cached verdicts identical: %s\n",
+    std::printf("  per-packet/fused/cached verdicts identical: %s\n",
                 verdicts_equal ? "YES" : "NO (BUG)");
     if (!verdicts_equal) return 1;
 
     // Single-context kernel comparison on the uniform (cache-hostile up to
-    // 1024 flows) burst, with the zero-copy accounting.
-    const PoolRun scalar =
-        pool_run(*s.br, burst.views, s.now, 1, Kernel::scalar, 0);
-    const PoolRun batched =
-        pool_run(*s.br, burst.views, s.now, 1, Kernel::batched, 0);
-    std::printf("  1-thread scalar kernels : %10.0f pkts/s (%.0f ns/pkt)\n",
+    // 1024 flows) burst, with the zero-copy accounting: one packet per call
+    // against whole bursts through a 1-thread pool.
+    const PoolRun scalar = per_packet_run(*s.br, uniform, s.now);
+    const PoolRun batched = pool_run(*s.br, uniform, s.now, 1, 0);
+    std::printf("  1-thread per-packet kernel: %10.0f pkts/s (%.0f ns/pkt)\n",
                 scalar.pps, 1e9 / scalar.pps);
-    std::printf("  1-thread batched kernels: %10.0f pkts/s (%.0f ns/pkt, "
+    std::printf("  1-thread fused pipeline   : %10.0f pkts/s (%.0f ns/pkt, "
                 "%.2fx)\n",
                 batched.pps, 1e9 / batched.pps, batched.pps / scalar.pps);
     std::printf("  steady-state heap allocations per forwarded packet: "
@@ -557,7 +605,7 @@ int main(int argc, char** argv) {
     if (batched.allocs_per_pkt != 0.0 || scalar.allocs_per_pkt != 0.0) {
       std::fprintf(stderr,
                    "FATAL: forwarding fast path allocated on the heap "
-                   "(%.4f allocs/pkt batched, %.4f scalar)\n",
+                   "(%.4f allocs/pkt fused, %.4f per-packet)\n",
                    batched.allocs_per_pkt, scalar.allocs_per_pkt);
       return 1;
     }
@@ -592,16 +640,15 @@ int main(int argc, char** argv) {
       }
       ZipfPoint pt;
       pt.s = zs;
-      pt.cached = pool_run(*s.br, schedule, s.now, 1, Kernel::batched, 4096);
-      pt.uncached = pool_run(*s.br, schedule, s.now, 1, Kernel::batched, 0);
+      pt.cached = pool_run(*s.br, schedule, s.now, 1, 4096);
+      pt.uncached = pool_run(*s.br, schedule, s.now, 1, 0);
       zipf_sweep.push_back(pt);
       if (zs == 1.1) schedule_s11 = std::move(schedule);
     }
 
-    // The scalar single-core reference on the SAME flow-local workload —
-    // the acceptance baseline for the cached fused pipeline.
-    const PoolRun scalar_s11 =
-        pool_run(*s.br, schedule_s11, s.now, 1, Kernel::scalar, 0);
+    // The per-packet single-core reference on the SAME flow-local workload
+    // — the acceptance baseline for the cached fused pipeline.
+    const PoolRun scalar_s11 = per_packet_run(*s.br, schedule_s11, s.now);
     const ZipfPoint* s11 = nullptr;
     for (const auto& pt : zipf_sweep)
       if (pt.s == 1.1) s11 = &pt;
@@ -617,7 +664,7 @@ int main(int argc, char** argv) {
       std::printf("  %6.1f %9.1f%% %14.0f %14.0f %9.2fx\n", pt.s,
                   100 * pt.cached.hit_rate, pt.cached.pps, pt.uncached.pps,
                   pt.cached.pps / pt.uncached.pps);
-    std::printf("  cached fused vs scalar single-core at s=1.1: %.0f vs %.0f "
+    std::printf("  cached fused vs per-packet single-core at s=1.1: %.0f vs %.0f "
                 "pkts/s = %.2fx (target >= 1.5x)\n",
                 s11 ? s11->cached.pps : 0.0, scalar_s11.pps, cached_speedup);
     if (s11 && s11->cached.allocs_per_pkt != 0.0) {
@@ -633,29 +680,28 @@ int main(int argc, char** argv) {
     if (!smoke && std::strcmp(s.as.codec.backend(), "aesni") == 0 &&
         cached_speedup < 1.5) {
       std::fprintf(stderr,
-                   "FATAL: cached fused pipeline is only %.2fx the scalar "
+                   "FATAL: cached fused pipeline is only %.2fx the per-packet "
                    "single-core pps at Zipf s=1.1 (floor 1.5x)\n",
                    cached_speedup);
       return 1;
     }
 
-    // ---- Thread sweeps: uncached batched + cached (s=1.1) ------------------
+    // ---- Thread sweeps: uncached + cached (s=1.1) --------------------------
     struct ThreadPoint {
       std::size_t threads = 0;
       PoolRun uncached;
       PoolRun cached;
     };
     std::vector<ThreadPoint> sweep;
-    std::printf("\nThreads sweep (batched kernels; cached column runs the "
-                "Zipf s=1.1 schedule):\n");
+    std::printf("\nThreads sweep (uncached and cached pools; the cached "
+                "column runs the Zipf s=1.1 schedule):\n");
     std::printf("  %7s %14s %9s %14s %9s %9s\n", "threads", "uncached pps",
                 "speedup", "cached pps", "speedup", "hit rate");
     for (const std::size_t t : thread_list) {
       ThreadPoint pt;
       pt.threads = t;
-      pt.uncached = pool_run(*s.br, burst.views, s.now, t, Kernel::batched, 0);
-      pt.cached =
-          pool_run(*s.br, schedule_s11, s.now, t, Kernel::batched, 4096);
+      pt.uncached = pool_run(*s.br, uniform, s.now, t, 0);
+      pt.cached = pool_run(*s.br, schedule_s11, s.now, t, 4096);
       sweep.push_back(pt);
       std::printf("  %7zu %14.0f %8.2fx %14.0f %8.2fx %8.1f%%\n", t,
                   pt.uncached.pps, pt.uncached.pps / batched.pps,
@@ -694,8 +740,13 @@ int main(int argc, char** argv) {
         if (pt.allocs_per_pkt != 0.0) {
           std::fprintf(stderr,
                        "FATAL: loopback UDP forwarding path allocated on the "
-                       "heap (%.4f allocs/pkt at %zu workers)\n",
-                       pt.allocs_per_pkt, pt.workers);
+                       "heap (%.4f allocs/pkt at %zu workers: %llu on the RX "
+                       "thread, %llu on other threads, %llu RX BufferPool "
+                       "misses)\n",
+                       pt.allocs_per_pkt, pt.workers,
+                       static_cast<unsigned long long>(pt.rx_allocs),
+                       static_cast<unsigned long long>(pt.other_allocs),
+                       static_cast<unsigned long long>(pt.rx_pool_misses));
           return 1;
         }
       }

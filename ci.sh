@@ -54,6 +54,34 @@ ctest --test-dir build-ci --output-on-failure -L net
 # what the gate measures, and sanitizer legs would spend minutes proving
 # nothing new about it.
 ctest --test-dir build-ci --output-on-failure -L scenario
+# Scenario verdict pin, explicitly in Release: fresh attack_storms and
+# multi_as smoke runs must reproduce the checked-in SCENARIO_*.json field for
+# field, apart from the machine-shape and provenance fields. A change that
+# moves a verdict or counter must regenerate the artifact with it.
+pin_dir=$(mktemp -d)
+trap 'rm -rf "${pin_dir}"' EXIT
+for sc in attack_storms multi_as; do
+  build-ci/bench/bench_scenario --scenario="${sc}" --smoke \
+    --json="${pin_dir}/SCENARIO_${sc}.json" > /dev/null
+  python3 - "SCENARIO_${sc}.json" "${pin_dir}/SCENARIO_${sc}.json" <<'PY'
+import json, sys
+skip = {"git_sha", "hardware_concurrency", "single_core", "crypto_backend"}
+def flat(v, path=""):
+    if isinstance(v, dict):
+        for k, x in v.items():
+            if k not in skip:
+                yield from flat(x, f"{path}.{k}")
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from flat(x, f"{path}[{i}]")
+    else:
+        yield path, v
+want, got = (dict(flat(json.load(open(p)))) for p in sys.argv[1:])
+moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+if moved:
+    sys.exit(f"{sys.argv[1]} differs from a fresh run at: {', '.join(moved)}")
+PY
+done
 # DNS resolver leg, explicitly in Release: the wire codec, sharded
 # TTL/negative cache, domain-policy trie and upstream timeout/backoff suites
 # (bench_smoke_e7 — the 50k-name bytes/name + negative-bound gates — rides

@@ -351,7 +351,7 @@ void ResolverPool::process_chunk(std::size_t slot, std::size_t begin,
   }
 }
 
-void ResolverPool::drain_chunks(std::size_t slot) {
+void ResolverPool::claim_chunks(std::size_t slot) {
   for (;;) {
     std::size_t begin, end;
     {
@@ -376,7 +376,7 @@ void ResolverPool::worker_main(std::size_t slot) {
                     [this] { return stop_ || next_chunk_ < chunks_total_; });
       if (stop_) return;
     }
-    drain_chunks(slot);
+    claim_chunks(slot);
   }
 }
 
@@ -397,7 +397,7 @@ void ResolverPool::process_lookups(std::span<const std::string> names,
   }
   cv_work_.notify_all();
   // The calling thread is processing context 0 (ServicePool convention).
-  drain_chunks(0);
+  claim_chunks(0);
   {
     std::unique_lock lock(mu_);
     cv_done_.wait(lock, [this] { return chunks_done_ == chunks_total_; });

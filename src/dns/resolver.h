@@ -327,7 +327,7 @@ class ResolverPool {
 
  private:
   void worker_main(std::size_t slot);
-  void drain_chunks(std::size_t slot);
+  void claim_chunks(std::size_t slot);
   void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
 
   struct alignas(64) Slot {

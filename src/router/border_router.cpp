@@ -124,8 +124,7 @@ void BorderRouter::finish_outgoing_classify(
 
 void BorderRouter::classify_outgoing_burst(
     std::span<const wire::PacketView> burst, core::ExpTime now,
-    std::span<Verdict> verdicts, Stats& stats, bool batched,
-    core::FlowCache* cache) const {
+    std::span<Verdict> verdicts, Stats& stats, core::FlowCache* cache) const {
   // One generation per burst: entries verified mid-burst are stamped with
   // the generation observed HERE, so a revocation racing the burst leaves
   // them conservatively stale (same visibility contract as the striped
@@ -133,7 +132,8 @@ void BorderRouter::classify_outgoing_burst(
   // revocation; every packet of the NEXT burst sees it).
   const std::uint64_t gen = cache ? as_.epoch.current() : 0;
 
-  if (cfg_.mode == Mode::baseline || !batched) {
+  // Short bursts run the per-packet kernel (see kFusedMinBurst).
+  if (cfg_.mode == Mode::baseline || burst.size() < kFusedMinBurst) {
     for (std::size_t i = 0; i < burst.size(); ++i)
       verdicts[i] = Verdict{outgoing_checks(burst[i], now, cache, gen), false,
                             0};
@@ -316,11 +316,11 @@ void BorderRouter::ingress_checks(const wire::PacketView& pkt,
 
 void BorderRouter::classify_ingress_burst(
     std::span<const wire::PacketView> burst, core::ExpTime now,
-    std::span<Verdict> verdicts, Stats& stats, bool batched,
-    core::FlowCache* cache) const {
+    std::span<Verdict> verdicts, Stats& stats, core::FlowCache* cache) const {
   const std::uint64_t gen = cache ? as_.epoch.current() : 0;
 
-  if (cfg_.mode == Mode::baseline || !batched) {
+  // Short bursts run the per-packet kernel (see kFusedMinBurst).
+  if (cfg_.mode == Mode::baseline || burst.size() < kFusedMinBurst) {
     for (std::size_t i = 0; i < burst.size(); ++i) {
       const wire::PacketView& pkt = burst[i];
       Verdict& v = verdicts[i];

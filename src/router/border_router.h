@@ -36,12 +36,12 @@
 //    immutable, and outcome counters go to a caller-owned Stats (one per
 //    worker, merged on read). Verdicts are then turned into forwarding
 //    actions by apply_*_verdicts() on a single thread (the callbacks —
-//    simulator event loop — are not thread-safe). With `batched` set, EphID
-//    authentication and MAC verification run through the batched kernels
-//    (EphIdCodec::open_batch, verify_packet_macs); verdicts are identical
-//    to the scalar path either way. The concurrent path does not emit ICMP
-//    feedback (a real line-rate device punts error signalling off the fast
-//    path the same way).
+//    simulator event loop — are not thread-safe). The kernel follows the
+//    burst size: spans shorter than kFusedMinBurst run a per-packet loop,
+//    longer ones the fused batch pipeline (EphIdCodec::open_batch_gather,
+//    verify_packet_macs); verdicts are identical either way. The
+//    concurrent path does not emit ICMP feedback (a real line-rate device
+//    punts error signalling off the fast path the same way).
 //
 // router/forwarding_pool.h packages the classify/apply split into an
 // M-worker pool; Mode::baseline implements a plain IPv4-style router (AID
@@ -195,28 +195,40 @@ class BorderRouter {
     core::Hid hid = 0;    // ingress only: destination host when local
   };
 
+  /// Bursts shorter than this run the per-packet kernel
+  /// (outgoing_checks / ingress_checks); longer ones the fused batch
+  /// pipeline. Each wins on its own side. Measured on one pinned core, in
+  /// ns/pkt: hot egress (128 B, cache hits) costs ~190 per-packet against
+  /// 300-530 fused at bursts of 1-2 and ~180 fused at 32-64; cold egress
+  /// (1400 B, misses) costs ~2400 per-packet against 2500-3400 fused at
+  /// 1-2, 1850-2100 at 4 and ~1250 at 32-64. In the end-to-end UDP
+  /// benchmark, whose open phases drain ~1-packet bursts, running fused
+  /// for every burst raised p50 by 3-4%, while this threshold raised
+  /// fwd_cold_large ops/s by ~14% over running per-packet everywhere.
+  static constexpr std::size_t kFusedMinBurst = 8;
+
   /// Runs the egress pipeline (MTU + Fig 4 checks + §VIII-D replay filter
   /// when configured) over a burst of views. Drop reasons are counted into
   /// the caller-owned `stats` (passes are counted by
   /// apply_outgoing_verdicts or by the caller). Safe to call from many
-  /// threads concurrently; `batched` selects the fused batch pipeline
-  /// (identical verdicts either way). Allocation-free.
+  /// threads concurrently; the kernel is chosen by burst.size() against
+  /// kFusedMinBurst (identical verdicts either way). Allocation-free.
   ///
   /// `cache` (optional, caller-owned, NOT thread-safe — one per worker
   /// thread) memoizes verified EphID verdicts: a generation-valid hit
   /// skips the EphID decrypt+auth and both striped lookups, but NEVER the
-  /// per-packet MAC (§IV-D2). With `batched` the burst runs as one fused
-  /// pass per chunk: probe cache → gather misses → one widened AES sweep
-  /// over misses only → striped checks for misses → batched packet-CMAC
-  /// for hits and verified misses together → insert fresh verdicts (after
-  /// the MAC batch, so an eviction can never invalidate a borrowed key
-  /// schedule mid-chunk). Verdicts are bit-identical with and without the
-  /// cache, including bursts that straddle a revocation: every revocation
-  /// bumps AsState::epoch, so stale entries miss and re-verify against the
+  /// per-packet MAC (§IV-D2). The fused pipeline runs one pass per chunk:
+  /// probe cache → gather misses → one widened AES sweep over misses only
+  /// → striped checks for misses → batched packet-CMAC for hits and
+  /// verified misses together → insert fresh verdicts (after the MAC
+  /// batch, so an eviction can never invalidate a borrowed key schedule
+  /// mid-chunk). Verdicts are bit-identical with and without the cache,
+  /// including bursts that straddle a revocation: every revocation bumps
+  /// AsState::epoch, so stale entries miss and re-verify against the
   /// striped tables (pinned by flow_cache_test / router_concurrency_test).
   void classify_outgoing_burst(std::span<const wire::PacketView> burst,
                                core::ExpTime now, std::span<Verdict> verdicts,
-                               Stats& stats, bool batched = true,
+                               Stats& stats,
                                core::FlowCache* cache = nullptr) const;
 
   /// Ingress twin: transit detection + Fig 4 top checks for local packets.
@@ -224,7 +236,7 @@ class BorderRouter {
   /// MAC is verified at the source AS).
   void classify_ingress_burst(std::span<const wire::PacketView> burst,
                               core::ExpTime now, std::span<Verdict> verdicts,
-                              Stats& stats, bool batched = true,
+                              Stats& stats,
                               core::FlowCache* cache = nullptr) const;
 
   /// Executes the forwarding actions for a classified egress burst on the
@@ -300,13 +312,13 @@ class BorderRouter {
   void finish_outgoing_classify(std::span<const wire::PacketView> burst,
                                 std::span<Verdict> verdicts,
                                 Stats& stats) const;
-  /// MTU + Fig 4 checks for one egress packet (the scalar classify kernel;
+  /// MTU + Fig 4 checks for one egress packet (the per-packet kernel;
   /// replay filtering and accounting happen in finish_outgoing_classify).
   /// With a cache, hits skip straight to the per-packet MAC and verified
   /// misses are inserted under `gen`.
   Errc outgoing_checks(const wire::PacketView& pkt, core::ExpTime now,
                        core::FlowCache* cache, std::uint64_t gen) const;
-  /// Scalar ingress kernel for one locally-destined packet (cache-aware
+  /// Per-packet ingress kernel for one locally-destined packet (cache-aware
   /// twin of check_incoming; fills v.hid on success).
   void ingress_checks(const wire::PacketView& pkt, core::ExpTime now,
                       core::FlowCache* cache, std::uint64_t gen,

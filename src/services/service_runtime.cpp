@@ -144,7 +144,7 @@ void ServicePool::process_chunk(std::size_t slot, std::size_t begin,
   }
 }
 
-void ServicePool::drain_chunks(std::size_t slot) {
+void ServicePool::claim_chunks(std::size_t slot) {
   for (;;) {
     std::size_t begin, end;
     {
@@ -169,7 +169,7 @@ void ServicePool::worker_main(std::size_t slot) {
                     [this] { return stop_ || next_chunk_ < chunks_total_; });
       if (stop_) return;
     }
-    drain_chunks(slot);
+    claim_chunks(slot);
   }
 }
 
@@ -191,7 +191,7 @@ void ServicePool::run_burst(JobKind kind, const void* jobs, std::size_t n,
 
   // The calling thread is processing context 0: claim chunks like any
   // worker instead of blocking, so threads == 1 needs no handoff at all.
-  drain_chunks(0);
+  claim_chunks(0);
   {
     std::unique_lock lock(mu_);
     cv_done_.wait(lock, [this] { return chunks_done_ == chunks_total_; });

@@ -180,7 +180,7 @@ class ServicePool {
   void run_burst(JobKind kind, const void* jobs, std::size_t n, void* results,
                  core::ExpTime now);
   void worker_main(std::size_t slot);
-  void drain_chunks(std::size_t slot);
+  void claim_chunks(std::size_t slot);
   void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
 
   struct alignas(64) Slot {
@@ -199,9 +199,8 @@ class ServicePool {
   AccountabilityAgent* aa_;
   Config cfg_;
 
-  // Burst descriptor, guarded by mu_ (same ordering argument as
-  // ForwardingPool: workers observe next_chunk_ < chunks_total_ under mu_
-  // after the descriptor writes).
+  // Burst descriptor, guarded by mu_: workers observe
+  // next_chunk_ < chunks_total_ under mu_ after the descriptor writes.
   mutable std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

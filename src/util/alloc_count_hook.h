@@ -21,22 +21,29 @@
 #endif
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
 namespace apna::util {
 
 inline std::atomic<std::uint64_t> g_heap_allocs{0};
+inline thread_local std::uint64_t t_heap_allocs = 0;
 
 /// Total operator-new calls in this process so far.
 inline std::uint64_t heap_alloc_count() {
   return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
+/// operator-new calls made by the calling thread so far: attributes a
+/// process-wide count to the thread that allocated.
+inline std::uint64_t thread_heap_alloc_count() { return t_heap_allocs; }
+
 }  // namespace apna::util
 
 void* operator new(std::size_t size) {
   apna::util::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++apna::util::t_heap_allocs;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }

@@ -12,6 +12,7 @@
 // CI, not just the benchmark.
 #include <gtest/gtest.h>
 
+#include "classify_oracle.h"
 #include "core/packet_auth.h"
 #include "router/border_router.h"
 #include "router/forwarding_pool.h"
@@ -83,8 +84,13 @@ TEST(ZeroAlloc, BurstClassifyAndApplySteadyState) {
   std::vector<BorderRouter::Verdict> verdicts(views.size());
   BorderRouter::Stats stats;
 
-  auto run_round = [&](bool batched) {
-    br->classify_outgoing_burst(views, f.now, verdicts, stats, batched);
+  // Whole burst (fused pipeline) or one packet per call (per-packet kernel).
+  auto run_round = [&](bool whole_burst) {
+    if (whole_burst) {
+      br->classify_outgoing_burst(views, f.now, verdicts, stats);
+    } else {
+      classify_each_outgoing(*br, views, f.now, verdicts, stats);
+    }
     br->apply_outgoing_verdicts(views, verdicts, stats);
   };
 
@@ -95,7 +101,7 @@ TEST(ZeroAlloc, BurstClassifyAndApplySteadyState) {
   const wire::CopyAudit audit0 = wire::copy_audit();
   const std::uint64_t allocs0 = util::heap_alloc_count();
   for (int i = 0; i < kRounds; ++i) run_round(true);
-  for (int i = 0; i < kRounds; ++i) run_round(false);  // scalar twin too
+  for (int i = 0; i < kRounds; ++i) run_round(false);  // per-packet twin too
   const std::uint64_t allocs = util::heap_alloc_count() -
                                allocs0;
   const wire::CopyAudit audit1 = wire::copy_audit();
@@ -145,7 +151,8 @@ TEST(ZeroAlloc, SingleBufferMovePathSteadyState) {
 
 TEST(ZeroAlloc, ForwardingPoolSteadyState) {
   // The M-worker pool: classification on workers, actions on the caller —
-  // still allocation-free per packet once warm.
+  // still allocation-free per packet once warm. One thread classifies the
+  // caller's span in place; two steer it into per-worker rings.
   AllocFixture f;
   auto br = f.make_router();
 
@@ -156,23 +163,23 @@ TEST(ZeroAlloc, ForwardingPoolSteadyState) {
     bufs.push_back(f.egress_packet(static_cast<core::Hid>(1 + i % 64)));
   for (const auto& b : bufs) views.push_back(b.view());
 
-  ForwardingPool::Config cfg;
-  cfg.threads = 2;
-  cfg.chunk_packets = 32;
-  ForwardingPool pool(*br, cfg);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ForwardingPool::Config cfg;
+    cfg.threads = threads;
+    ForwardingPool pool(*br, cfg);
 
-  for (int i = 0; i < 4; ++i) pool.process_outgoing(views, f.now);
+    for (int i = 0; i < 4; ++i) pool.process_outgoing(views, f.now);
 
-  constexpr int kRounds = 50;
-  const std::uint64_t allocs0 = util::heap_alloc_count();
-  for (int i = 0; i < kRounds; ++i) pool.process_outgoing(views, f.now);
-  const std::uint64_t allocs = util::heap_alloc_count() -
-                               allocs0;
+    constexpr int kRounds = 50;
+    const std::uint64_t allocs0 = util::heap_alloc_count();
+    for (int i = 0; i < kRounds; ++i) pool.process_outgoing(views, f.now);
+    const std::uint64_t allocs = util::heap_alloc_count() - allocs0;
 
-  EXPECT_EQ(allocs, 0u)
-      << "pool forwarded " << (kRounds * kBurst) << " packets with "
-      << allocs << " heap allocations";
-  EXPECT_EQ(pool.stats().total_drops(), 0u);
+    EXPECT_EQ(allocs, 0u)
+        << threads << "-thread pool forwarded " << (kRounds * kBurst)
+        << " packets with " << allocs << " heap allocations";
+    EXPECT_EQ(pool.stats().total_drops(), 0u);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //  * ForwardingPool per-thread stats merged on read, validated against a
 //    single-threaded reference run;
 //  * bit-for-bit determinism of the batched kernels (EphID open_batch,
-//    verify_packet_macs, classify_*_burst) against their scalar twins.
+//    verify_packet_macs) against their scalar twins, and of whole-burst
+//    classify_*_burst calls against one call per packet on both sides of
+//    BorderRouter::kFusedMinBurst.
 //
 // Iteration counts are sized for the TSan leg of ci.sh (bounded runtime).
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "classify_oracle.h"
 #include "core/packet_auth.h"
 #include "router/border_router.h"
 #include "router/forwarding_pool.h"
@@ -250,7 +253,9 @@ TEST(ShardedState, ConcurrentClassifyOverSharedViewBurst) {
   // M threads run classify_outgoing_burst over the SAME PacketView span
   // (read-only aliases of one set of wire images) while a writer churns
   // revocations — the TSan leg proves the zero-copy burst shape is as
-  // race-free as the per-packet checks.
+  // race-free as the per-packet checks. Each thread alternates whole-burst
+  // calls (fused pipeline) with one call per packet (per-packet kernel),
+  // offset by thread, so both kernels race each other.
   ConcurrencyFixture f;
   BorderRouter::Config cfg;
   cfg.replay_filter = true;
@@ -268,8 +273,11 @@ TEST(ShardedState, ConcurrentClassifyOverSharedViewBurst) {
       std::vector<BorderRouter::Verdict> verdicts(views.size());
       BorderRouter::Stats stats;
       for (int i = 0; i < kIters && !failed.load(); ++i) {
-        br->classify_outgoing_burst(views, f.now, verdicts, stats,
-                                    /*batched=*/(t % 2) == 0);
+        if ((i + t) % 2 == 0) {
+          br->classify_outgoing_burst(views, f.now, verdicts, stats);
+        } else {
+          classify_each_outgoing(*br, views, f.now, verdicts, stats);
+        }
         // The structurally-bad packets must fail under every interleaving.
         if (verdicts[40].err != Errc::bad_mac) failed.store(true);
         if (verdicts[41].err != Errc::decrypt_failed) failed.store(true);
@@ -294,7 +302,9 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
   // M classify threads, each with its OWN core::FlowCache (the
   // ForwardingPool arrangement), race a writer that revokes EphIDs/HIDs
   // and churns host_info. TSan-visible state: the striped tables and the
-  // AsState epoch (atomic); the caches themselves are never shared.
+  // AsState epoch (atomic); the caches themselves are never shared. Like
+  // the shared-view stress above, threads alternate whole-burst and
+  // per-packet calls.
   // Verdict legality is asserted per iteration, and once the writer is
   // done every warm cache must agree with the uncached reference exactly
   // (epoch invalidation has flushed all stale verdicts).
@@ -334,9 +344,13 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
       std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
       BorderRouter::Stats stats;
       for (int i = 0; i < kIters && !failed.load(); ++i) {
-        br->classify_outgoing_burst(burst.views, f.now, verdicts, stats,
-                                    /*batched=*/(t % 2) == 0,
-                                    caches[t].get());
+        if ((i + t) % 2 == 0) {
+          br->classify_outgoing_burst(burst.views, f.now, verdicts, stats,
+                                      caches[t].get());
+        } else {
+          classify_each_outgoing(*br, burst.views, f.now, verdicts, stats,
+                                 caches[t].get());
+        }
         for (core::Hid hid = 1; hid <= kStable; ++hid)
           if (verdicts[hid - 1].err != Errc::ok) failed.store(true);
         for (core::Hid hid = kStable + 1; hid <= kRevoked; ++hid) {
@@ -376,16 +390,20 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
   // uncached verdicts bit-for-bit (all revocations visible).
   std::vector<BorderRouter::Verdict> ref(burst.views.size());
   BorderRouter::Stats ref_stats;
-  br->classify_outgoing_burst(burst.views, f.now, ref, ref_stats,
-                              /*batched=*/true, nullptr);
+  br->classify_outgoing_burst(burst.views, f.now, ref, ref_stats);
   for (core::Hid hid = kStable + 1; hid <= kRevoked; ++hid)
     EXPECT_EQ(static_cast<int>(ref[hid - 1].err),
               static_cast<int>(Errc::revoked));
   for (int t = 0; t < kThreads; ++t) {
     std::vector<BorderRouter::Verdict> got(burst.views.size());
     BorderRouter::Stats stats;
-    br->classify_outgoing_burst(burst.views, f.now, got, stats,
-                                /*batched=*/(t % 2) == 0, caches[t].get());
+    if (t % 2 == 0) {
+      br->classify_outgoing_burst(burst.views, f.now, got, stats,
+                                  caches[t].get());
+    } else {
+      classify_each_outgoing(*br, burst.views, f.now, got, stats,
+                             caches[t].get());
+    }
     for (std::size_t i = 0; i < burst.views.size(); ++i)
       EXPECT_EQ(static_cast<int>(got[i].err), static_cast<int>(ref[i].err))
           << "cache " << t << " packet " << i;
@@ -394,47 +412,47 @@ TEST(FlowCacheConcurrency, PerThreadCachesWithConcurrentRevocations) {
 }
 
 TEST(ForwardingPool, MergedStatsMatchSingleThreadedReference) {
-  ConcurrencyFixture f;
-  BorderRouter::Config cfg;
-  cfg.replay_filter = true;
-  auto pooled_br = f.make_router(cfg);
-  auto reference_br = f.make_router(cfg);
+  // One thread classifies in place; four steer the burst into rings.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ConcurrencyFixture f;
+    BorderRouter::Config cfg;
+    cfg.replay_filter = true;
+    auto pooled_br = f.make_router(cfg);
+    auto reference_br = f.make_router(cfg);
 
-  const SealedBurst burst(mixed_egress_burst(f, 1));
+    const SealedBurst burst(mixed_egress_burst(f, 1));
 
-  ForwardingPool::Config pool_cfg;
-  pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::chunk;  // legacy dispatch
-  pool_cfg.chunk_packets = 8;  // force multi-chunk distribution
-  pool_cfg.kernel = ForwardingPool::Kernel::batched;
-  ForwardingPool pool(*pooled_br, pool_cfg);
+    ForwardingPool::Config pool_cfg;
+    pool_cfg.threads = threads;
+    ForwardingPool pool(*pooled_br, pool_cfg);
 
-  constexpr int kRounds = 50;
-  BorderRouter::Stats ref_stats;
-  for (int round = 0; round < kRounds; ++round) {
-    pool.process_outgoing(burst.views, f.now);
-    std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
-    reference_br->classify_outgoing_burst(burst.views, f.now, verdicts,
-                                          ref_stats, /*batched=*/false);
-    reference_br->apply_outgoing_verdicts(burst.views, verdicts, ref_stats);
+    constexpr int kRounds = 50;
+    BorderRouter::Stats ref_stats;
+    for (int round = 0; round < kRounds; ++round) {
+      pool.process_outgoing(burst.views, f.now);
+      std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
+      classify_each_outgoing(*reference_br, burst.views, f.now, verdicts,
+                             ref_stats);
+      reference_br->apply_outgoing_verdicts(burst.views, verdicts, ref_stats);
+    }
+
+    const auto merged = pool.stats();
+    EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
+    EXPECT_EQ(merged.drop_bad_mac, ref_stats.drop_bad_mac);
+    EXPECT_EQ(merged.drop_bad_ephid, ref_stats.drop_bad_ephid);
+    EXPECT_EQ(merged.drop_expired, ref_stats.drop_expired);
+    EXPECT_EQ(merged.drop_unknown_host, ref_stats.drop_unknown_host);
+    EXPECT_EQ(merged.drop_replayed, ref_stats.drop_replayed);
+    EXPECT_EQ(merged.total_drops(), ref_stats.total_drops());
+    // The duplicated-nonce packet is accepted once and replayed once per
+    // round after the first window sighting.
+    EXPECT_GT(merged.drop_replayed, 0u);
   }
-
-  const auto merged = pool.stats();
-  EXPECT_EQ(merged.forwarded_out, ref_stats.forwarded_out);
-  EXPECT_EQ(merged.drop_bad_mac, ref_stats.drop_bad_mac);
-  EXPECT_EQ(merged.drop_bad_ephid, ref_stats.drop_bad_ephid);
-  EXPECT_EQ(merged.drop_expired, ref_stats.drop_expired);
-  EXPECT_EQ(merged.drop_unknown_host, ref_stats.drop_unknown_host);
-  EXPECT_EQ(merged.drop_replayed, ref_stats.drop_replayed);
-  EXPECT_EQ(merged.total_drops(), ref_stats.total_drops());
-  // The duplicated-nonce packet is accepted once and replayed once per
-  // round after the first window sighting.
-  EXPECT_GT(merged.drop_replayed, 0u);
 }
 
 /// An egress burst of `reps` repetitions of `flows.size()` valid flows,
-/// interleaved so every chunk_packets-sized window mixes distinct flows —
-/// the shape where chunk-claiming scatters one flow across workers.
+/// interleaved so every window of the burst mixes distinct flows.
 SealedBurst repeated_flow_burst(ConcurrencyFixture& f,
                                 const std::vector<core::EphId>& flows,
                                 int reps) {
@@ -457,15 +475,14 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
 
   ForwardingPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::flow_hash;  // the default
   ForwardingPool pool(*pooled_br, pool_cfg);
 
   BorderRouter::Stats ref_stats;
   for (int round = 0; round < 10; ++round) {
     pool.process_outgoing(burst.views, f.now);
     std::vector<BorderRouter::Verdict> verdicts(burst.views.size());
-    reference_br->classify_outgoing_burst(burst.views, f.now, verdicts,
-                                          ref_stats, /*batched=*/false);
+    classify_each_outgoing(*reference_br, burst.views, f.now, verdicts,
+                           ref_stats);
     reference_br->apply_outgoing_verdicts(burst.views, verdicts, ref_stats);
   }
   const auto merged = pool.stats();
@@ -474,44 +491,10 @@ TEST(ForwardingPool, FlowHashSteeringMatchesReferenceWithDisjointCaches) {
 
   // The steering invariant: one flow → one worker, so no EphID is ever
   // cached by two processing contexts. This holds DETERMINISTICALLY —
-  // steer_worker is a pure hash — unlike chunk claiming below.
+  // steer_worker is a pure hash.
   const auto cache = pool.flow_cache_stats();
   EXPECT_GT(cache.hits, 0u);
   EXPECT_EQ(cache.cross_worker_duplicates, 0u);
-}
-
-TEST(ForwardingPool, ChunkClaimingDuplicatesHotFlowsAcrossWorkers) {
-  // The bug flow-hash steering fixes: dynamic chunk claiming hands one
-  // flow's packets to whichever workers grab its chunks, so the flow's
-  // verdict is re-verified and cached once per claiming worker. WHICH
-  // worker claims a chunk is scheduling-dependent, so this test loops
-  // until the duplication is observed and skips (rather than flakes) if
-  // the scheduler never lets a second worker claim — e.g. a single-core
-  // host where the calling thread drains every chunk itself.
-  ConcurrencyFixture f;
-  auto br = f.make_router();
-
-  std::vector<core::EphId> flows;
-  for (core::Hid hid = 1; hid <= 16; ++hid)
-    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
-  const SealedBurst burst = repeated_flow_burst(f, flows, 16);
-
-  ForwardingPool::Config pool_cfg;
-  pool_cfg.threads = 4;
-  pool_cfg.steering = ForwardingPool::Steering::chunk;
-  pool_cfg.chunk_packets = 8;  // 32 chunks per burst, every flow in many
-  ForwardingPool pool(*br, pool_cfg);
-
-  std::uint64_t duplicates = 0;
-  for (int round = 0; round < 300 && duplicates == 0; ++round) {
-    pool.process_outgoing(burst.views, f.now);
-    duplicates = pool.flow_cache_stats().cross_worker_duplicates;
-  }
-  if (duplicates == 0)
-    GTEST_SKIP() << "scheduler never interleaved workers on this host "
-                    "(duplication needs two workers claiming chunks of one "
-                    "flow); the flow_hash twin asserts the zero side";
-  EXPECT_GT(duplicates, 0u);
 }
 
 TEST(ForwardingPool, IngressDeliversAndTransits) {
@@ -539,7 +522,6 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
 
   ForwardingPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.chunk_packets = 4;
   ForwardingPool pool(*br, pool_cfg);
   pool.process_ingress(burst.views, f.now);
 
@@ -550,6 +532,9 @@ TEST(ForwardingPool, IngressDeliversAndTransits) {
 }
 
 // ---- Batched kernels agree with their scalar twins ---------------------------
+//
+// For classify_*_burst the scalar twin is one call per packet
+// (tests/classify_oracle.h), which always runs the per-packet kernel.
 
 TEST(BatchDeterminism, EphIdOpenBatchEqualsScalar) {
   ConcurrencyFixture f;
@@ -630,8 +615,8 @@ TEST(BatchDeterminism, ClassifyBatchedEqualsScalar) {
   std::vector<BorderRouter::Verdict> vb(burst.size());
   std::vector<BorderRouter::Verdict> vs(burst.size());
   BorderRouter::Stats sb, ss;
-  batched_br->classify_outgoing_burst(burst, f.now, vb, sb, /*batched=*/true);
-  scalar_br->classify_outgoing_burst(burst, f.now, vs, ss, /*batched=*/false);
+  batched_br->classify_outgoing_burst(burst, f.now, vb, sb);
+  classify_each_outgoing(*scalar_br, burst, f.now, vs, ss);
 
   for (std::size_t i = 0; i < burst.size(); ++i)
     EXPECT_EQ(static_cast<int>(vb[i].err), static_cast<int>(vs[i].err))
@@ -655,13 +640,163 @@ TEST(BatchDeterminism, ClassifyBatchedEqualsScalar) {
   std::vector<BorderRouter::Verdict> ivb(in_burst.views.size());
   std::vector<BorderRouter::Verdict> ivs(in_burst.views.size());
   BorderRouter::Stats isb, iss;
-  batched_br->classify_ingress_burst(in_burst.views, f.now, ivb, isb, true);
-  scalar_br->classify_ingress_burst(in_burst.views, f.now, ivs, iss, false);
+  batched_br->classify_ingress_burst(in_burst.views, f.now, ivb, isb);
+  classify_each_ingress(*scalar_br, in_burst.views, f.now, ivs, iss);
   for (std::size_t i = 0; i < in_burst.views.size(); ++i) {
     EXPECT_EQ(static_cast<int>(ivb[i].err), static_cast<int>(ivs[i].err))
         << "ingress packet " << i;
     EXPECT_EQ(ivb[i].local, ivs[i].local);
     EXPECT_EQ(ivb[i].hid, ivs[i].hid);
+  }
+}
+
+void expect_same_verdicts(std::span<const BorderRouter::Verdict> whole,
+                          std::span<const BorderRouter::Verdict> each) {
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(static_cast<int>(whole[i].err), static_cast<int>(each[i].err))
+        << "packet " << i;
+    EXPECT_EQ(whole[i].local, each[i].local) << "packet " << i;
+    EXPECT_EQ(whole[i].hid, each[i].hid) << "packet " << i;
+  }
+}
+
+void expect_same_drops(const BorderRouter::Stats& a,
+                       const BorderRouter::Stats& b) {
+  EXPECT_EQ(a.drop_expired, b.drop_expired);
+  EXPECT_EQ(a.drop_revoked, b.drop_revoked);
+  EXPECT_EQ(a.drop_unknown_host, b.drop_unknown_host);
+  EXPECT_EQ(a.drop_bad_mac, b.drop_bad_mac);
+  EXPECT_EQ(a.drop_bad_ephid, b.drop_bad_ephid);
+  EXPECT_EQ(a.drop_no_route, b.drop_no_route);
+  EXPECT_EQ(a.drop_too_big, b.drop_too_big);
+  EXPECT_EQ(a.drop_replayed, b.drop_replayed);
+  EXPECT_EQ(a.total_drops(), b.total_drops());
+}
+
+TEST(BatchDeterminism, BurstSizeBoundaryMatchesPerPacketCalls) {
+  // Bursts on both sides of kFusedMinBurst (and 77, which crosses the
+  // fused pipeline's 32-packet chunks), cycling through every drop arm,
+  // classified whole on one router and one packet per call on its twin:
+  // verdicts and drop counters must agree exactly, with and without a
+  // FlowCache.
+  constexpr std::size_t kMin = BorderRouter::kFusedMinBurst;
+  constexpr std::size_t kSizes[] = {1, kMin - 1, kMin, kMin + 1, 33, 77};
+
+  ConcurrencyFixture f;
+  BorderRouter::Config cfg;
+  cfg.replay_filter = true;
+  cfg.mtu = 256;  // the 400 B payload below trips too_big
+
+  constexpr core::Hid kFlows = 16;
+  std::vector<core::EphId> flows;
+  for (core::Hid hid = 1; hid <= kFlows; ++hid)
+    flows.push_back(f.as.codec.issue(hid, f.now + 900, f.rng));
+  const core::EphId expired = f.as.codec.issue(17, f.now - 5, f.rng);
+  const core::EphId revoked_eph = f.as.codec.issue(18, f.now + 900, f.rng);
+  f.as.revoked.revoke_ephid(revoked_eph, f.now + 900, 18);
+  const core::EphId revoked_hid = f.as.codec.issue(19, f.now + 900, f.rng);
+  f.as.revoked.revoke_hid(19);
+  const core::EphId unknown =
+      f.as.codec.issue(kHosts + 100, f.now + 900, f.rng);
+
+  // Packet k of the egress stream; the arm is k % 10.
+  std::uint64_t nonce = 0;
+  wire::Packet last_valid;
+  const auto egress = [&](std::size_t k) {
+    core::Hid hid = static_cast<core::Hid>(1 + k % kFlows);
+    core::EphId eph = flows[hid - 1];
+    std::size_t payload = 64;
+    switch (k % 10) {
+      case 1: payload = 400; break;                                  // too big
+      case 2: f.rng.fill(MutByteSpan(eph.bytes.data(), 16)); break;  // forged
+      case 3: hid = 17; eph = expired; break;
+      case 4: hid = 18; eph = revoked_eph; break;
+      case 5: hid = 19; eph = revoked_hid; break;
+      case 6: eph = unknown; break;  // MAC'd under a known host's key
+      case 8: return last_valid;     // replayed nonce
+      default: break;                // valid, or bad MAC (7)
+    }
+    wire::Packet pkt = f.outgoing_packet(hid, eph);
+    pkt.payload = f.rng.bytes(payload);
+    pkt.set_nonce(++nonce);
+    core::stamp_packet_mac(
+        crypto::AesCmac(ByteSpan(f.host_keys[hid - 1].mac.data(), 16)), pkt);
+    if (k % 10 == 7) {
+      pkt.mac[0] ^= 1;
+    } else if (k % 10 == 0 || k % 10 == 9) {
+      last_valid = pkt;
+    }
+    return pkt;
+  };
+  // Packet k of the ingress stream; the arm is k % 8.
+  const auto ingress = [&](std::size_t k) {
+    core::EphId eph = flows[k % kFlows];
+    switch (k % 8) {
+      case 1: f.rng.fill(MutByteSpan(eph.bytes.data(), 16)); break;  // forged
+      case 2: eph = expired; break;
+      case 3: eph = revoked_eph; break;
+      case 4: eph = revoked_hid; break;
+      case 5: eph = unknown; break;
+      default: break;
+    }
+    wire::Packet pkt = f.incoming_packet(eph);
+    if (k % 8 == 6) pkt.dst_aid = 64999;  // transit
+    return pkt;
+  };
+
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "with FlowCache" : "without FlowCache");
+    auto whole_br = f.make_router(cfg);
+    auto each_br = f.make_router(cfg);
+    core::FlowCache whole_cache(256);
+    core::FlowCache each_cache(256);
+    core::FlowCache* whole_c = cached ? &whole_cache : nullptr;
+    core::FlowCache* each_c = cached ? &each_cache : nullptr;
+    BorderRouter::Stats whole_out, each_out, whole_in, each_in;
+    std::size_t k_out = 0, k_in = 0, transits = 0;
+
+    for (const std::size_t n : kSizes) {
+      SCOPED_TRACE(n);
+      SealedBurst out;
+      SealedBurst in;
+      for (std::size_t i = 0; i < n; ++i) {
+        out.push(egress(k_out++));
+        in.push(ingress(k_in++));
+      }
+      std::vector<BorderRouter::Verdict> whole(n), each(n);
+      whole_br->classify_outgoing_burst(out.views, f.now, whole, whole_out,
+                                        whole_c);
+      classify_each_outgoing(*each_br, out.views, f.now, each, each_out,
+                             each_c);
+      expect_same_verdicts(whole, each);
+
+      whole_br->classify_ingress_burst(in.views, f.now, whole, whole_in,
+                                       whole_c);
+      classify_each_ingress(*each_br, in.views, f.now, each, each_in, each_c);
+      expect_same_verdicts(whole, each);
+      for (const BorderRouter::Verdict& v : whole)
+        if (v.err == Errc::ok && !v.local) ++transits;
+    }
+    expect_same_drops(whole_out, each_out);
+    expect_same_drops(whole_in, each_in);
+
+    // Every arm actually fired.
+    EXPECT_GT(whole_out.drop_too_big, 0u);
+    EXPECT_GT(whole_out.drop_bad_ephid, 0u);
+    EXPECT_GT(whole_out.drop_expired, 0u);
+    EXPECT_GT(whole_out.drop_revoked, 0u);
+    EXPECT_GT(whole_out.drop_unknown_host, 0u);
+    EXPECT_GT(whole_out.drop_bad_mac, 0u);
+    EXPECT_GT(whole_out.drop_replayed, 0u);
+    EXPECT_GT(whole_in.drop_bad_ephid, 0u);
+    EXPECT_GT(whole_in.drop_expired, 0u);
+    EXPECT_GT(whole_in.drop_revoked, 0u);
+    EXPECT_GT(whole_in.drop_unknown_host, 0u);
+    EXPECT_GT(transits, 0u);
+    if (cached) {
+      EXPECT_GT(whole_cache.stats().hits, 0u);
+      EXPECT_GT(each_cache.stats().hits, 0u);
+    }
   }
 }
 

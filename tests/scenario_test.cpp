@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "classify_oracle.h"
 #include "core/packet_auth.h"
 #include "scenario/scenario.h"
 
@@ -150,8 +151,8 @@ TEST(ScenarioSoak, CachedVerdictsMatchUncachedAcross10kRevocations) {
     std::vector<router::BorderRouter::Verdict> cached(views.size());
     std::vector<router::BorderRouter::Verdict> uncached(views.size());
     router::BorderRouter::Stats cs, us;
-    f.br->classify_outgoing_burst(views, f.now, cached, cs, true, &cache);
-    f.br->classify_outgoing_burst(views, f.now, uncached, us, true, nullptr);
+    f.br->classify_outgoing_burst(views, f.now, cached, cs, &cache);
+    router::classify_each_outgoing(*f.br, views, f.now, uncached, us);
     for (std::size_t i = 0; i < views.size(); ++i) {
       ASSERT_EQ(static_cast<int>(cached[i].err),
                 static_cast<int>(uncached[i].err))
