@@ -3,9 +3,10 @@
 #
 #   1. Release with warnings-as-errors for all APNA targets
 #   2. ASan + UBSan (Debug)
-#   3. ThreadSanitizer over the router/core concurrency tests, the
-#      control-plane pool test, the crypto-labelled suites (per-slot DRBG
-#      independence, concurrent batch verification), the persistence
+#   3. ThreadSanitizer over the worker runtime (util::WorkerGroup) test,
+#      the router/core concurrency tests, the control-plane pool test, the
+#      crypto-labelled suites (per-slot DRBG independence, concurrent
+#      batch verification), the persistence
 #      coordinator's multi-threaded sink, and the bounded scenario storms
 #      (the sharded data plane's stress suite, the M-worker issuance pool
 #      and the attack-script interleavings; bounded runtime — TSan over the
@@ -146,17 +147,21 @@ echo "=== [tsan] build (concurrency-labelled tests only)"
 # and concurrent ed25519_verify_batch (crypto_concurrency_test) are exactly
 # where a shared-scratch race would hide, and the KAT/property suites are
 # cheap enough to keep as ballast.
+# worker_group_test rides the TSan leg too: util::WorkerGroup is the one
+# fork-join runtime under all three pools, and its atomic-wait handoff is
+# what orders a burst's inputs before the workers and their results before
+# the caller.
 # persist_test rides the TSan leg too: service threads (AA revocations, RS
 # enrollment) funnel journal records through one PersistCoordinator sink
 # while the main thread rotates snapshots — the group-commit buffer's
 # locking discipline under real interleavings.
 cmake --build build-tsan -j "${jobs}" \
-  --target router_concurrency_test router_test core_test control_plane_test \
-  flow_cache_test scenario_test dns_concurrency_test persist_test \
-  crypto_test crypto_kat_test crypto_property_test crypto_concurrency_test
+  --target worker_group_test router_concurrency_test router_test core_test \
+  control_plane_test flow_cache_test scenario_test dns_concurrency_test \
+  persist_test crypto_test crypto_kat_test crypto_property_test crypto_concurrency_test
 echo "=== [tsan] test"
 ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-  -R '^(router_concurrency_test|router_test|core_test|control_plane_test|flow_cache_test|scenario_test|dns_concurrency_test|persist_test)$'
+  -R '^(worker_group_test|router_concurrency_test|router_test|core_test|control_plane_test|flow_cache_test|scenario_test|dns_concurrency_test|persist_test)$'
 ctest --test-dir build-tsan --output-on-failure -j "${jobs}" -L crypto
 
 echo "=== CI green: Release(-Werror), ASan/UBSan and TSan legs all passed"

@@ -1,11 +1,11 @@
 // HMAC-DRBG (NIST SP 800-90A, HMAC-SHA256 variant).
 //
-// The pooled services (ServicePool, ResolverPool) give every worker slot its
-// own DRBG so randomness never crosses a thread boundary: no shared-state
-// contention on the hot path, and pooled output stays deterministic per
-// (seed, burst index) regardless of worker count — each request's generator
-// is reinstantiated from (seed, index), so which slot serves it cannot
-// matter. The construction is the standard K/V HMAC chain:
+// services::ServicePool gives every worker slot its own DRBG so randomness
+// never crosses a thread boundary: no shared-state contention on the hot
+// path (the batch-verification coefficients), and pooled output stays
+// deterministic per (seed, burst index) regardless of worker count — each
+// request's generator is reinstantiated from (seed, index), so which slot
+// serves it cannot matter. The construction is the standard K/V HMAC chain:
 //
 //   update(data):  K = HMAC(K, V ‖ 0x00 ‖ data); V = HMAC(K, V)
 //                  [and the 0x01 round when data is non-empty]

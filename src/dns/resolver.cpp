@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "core/as_persist.h"
-#include "crypto/drbg.h"
 
 namespace apna::dns {
 namespace {
@@ -304,109 +303,43 @@ Resolver::Stats Resolver::stats() const {
 // ---- ResolverPool ------------------------------------------------------------
 
 ResolverPool::ResolverPool(Resolver& resolver, Config cfg)
-    : resolver_(resolver), cfg_(cfg) {
-  if (cfg_.threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    cfg_.threads = hw == 0 ? 1 : hw;
-  }
-  if (cfg_.chunk == 0) cfg_.chunk = 64;
-  slots_ = std::make_unique<Slot[]>(cfg_.threads);
-  for (std::size_t i = 0; i < cfg_.threads; ++i)
-    slots_[i].drbg = std::make_unique<crypto::HmacDrbg>(cfg_.rng_seed, i);
-  workers_.reserve(cfg_.threads - 1);
-  for (std::size_t i = 1; i < cfg_.threads; ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
-}
-
-ResolverPool::~ResolverPool() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ResolverPool::process_chunk(std::size_t slot, std::size_t begin,
-                                 std::size_t end) {
-  std::lock_guard slot_lock(slots_[slot].mu);
-  Stats& st = slots_[slot].stats;
-  for (std::size_t j = begin; j < end; ++j) {
-    out_[j] = resolver_.resolve(names_[j], now_);
-    ++st.lookups;
-    switch (out_[j].status) {
-      case Resolver::Status::ok:
-        ++st.ok;
-        if (out_[j].source == Resolver::Source::cache) ++st.cache_hits;
-        break;
-      case Resolver::Status::nxdomain:
-        ++st.nxdomain;
-        break;
-      case Resolver::Status::blocked:
-        ++st.blocked;
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-void ResolverPool::claim_chunks(std::size_t slot) {
-  for (;;) {
-    std::size_t begin, end;
-    {
-      std::lock_guard lock(mu_);
-      if (next_chunk_ >= chunks_total_) return;
-      begin = next_chunk_++ * cfg_.chunk;
-      end = std::min(begin + cfg_.chunk, names_n_);
-    }
-    process_chunk(slot, begin, end);
-    {
-      std::lock_guard lock(mu_);
-      if (++chunks_done_ == chunks_total_) cv_done_.notify_all();
-    }
-  }
-}
-
-void ResolverPool::worker_main(std::size_t slot) {
-  for (;;) {
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock,
-                    [this] { return stop_ || next_chunk_ < chunks_total_; });
-      if (stop_) return;
-    }
-    claim_chunks(slot);
-  }
+    : resolver_(resolver), group_(cfg.threads) {
+  slots_ = std::make_unique<Slot[]>(group_.size());
 }
 
 void ResolverPool::process_lookups(std::span<const std::string> names,
                                    core::ExpTime now,
                                    std::span<Resolver::Answer> out) {
   assert(out.size() >= names.size());
-  if (names.empty()) return;
-  {
-    std::lock_guard lock(mu_);
-    names_ = names.data();
-    names_n_ = names.size();
-    out_ = out.data();
-    now_ = now;
-    next_chunk_ = 0;
-    chunks_done_ = 0;
-    chunks_total_ = (names.size() + cfg_.chunk - 1) / cfg_.chunk;
-  }
-  cv_work_.notify_all();
-  // The calling thread is processing context 0 (ServicePool convention).
-  claim_chunks(0);
-  {
-    std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [this] { return chunks_done_ == chunks_total_; });
-  }
+  group_.for_chunks(
+      names.size(), kChunk,
+      [&](std::size_t slot, std::size_t begin, std::size_t end) {
+        std::lock_guard slot_lock(slots_[slot].mu);
+        Stats& st = slots_[slot].stats;
+        for (std::size_t j = begin; j < end; ++j) {
+          out[j] = resolver_.resolve(names[j], now);
+          ++st.lookups;
+          switch (out[j].status) {
+            case Resolver::Status::ok:
+              ++st.ok;
+              if (out[j].source == Resolver::Source::cache) ++st.cache_hits;
+              break;
+            case Resolver::Status::nxdomain:
+              ++st.nxdomain;
+              break;
+            case Resolver::Status::blocked:
+              ++st.blocked;
+              break;
+            default:
+              break;
+          }
+        }
+      });
 }
 
 ResolverPool::Stats ResolverPool::stats() const {
   Stats merged;
-  for (std::size_t i = 0; i < cfg_.threads; ++i) {
+  for (std::size_t i = 0; i < group_.size(); ++i) {
     std::lock_guard slot_lock(slots_[i].mu);
     merged.lookups += slots_[i].stats.lookups;
     merged.ok += slots_[i].stats.ok;

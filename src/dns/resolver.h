@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,12 +37,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/messages.h"
-#include "crypto/rng.h"
 #include "dns/dns_cache.h"
 #include "dns/dns_wire.h"
 #include "dns/domain_trie.h"
@@ -53,6 +50,7 @@
 #include "services/dns_zone.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/worker_group.h"
 
 namespace apna::dns {
 
@@ -277,25 +275,23 @@ class Resolver {
   Counters counters_;
 };
 
-/// M-worker lookup pool, modeled on services::ServicePool: Config::threads
-/// is the TOTAL parallelism (threads-1 background workers plus the calling
-/// thread claiming chunks), per-worker Stats slots merged on read, and
-/// results independent of worker count — resolve() is deterministic given
-/// the cache state, and out[i] always holds the answer for names[i].
-/// One in-flight burst at a time; the resolver itself is what makes the
-/// concurrent lookups safe.
+/// M-worker lookup pool over one util::WorkerGroup (the runtime
+/// ForwardingPool and ServicePool use too): Config::threads is the TOTAL
+/// parallelism (threads-1 parked workers plus the calling thread as slot
+/// 0), lookups are claimed kChunk names at a time, per-worker Stats slots
+/// are merged on read, and results are independent of worker count —
+/// resolve() is deterministic given the cache state, and out[i] always
+/// holds the answer for names[i]. One in-flight burst at a time; the
+/// resolver itself is what makes the concurrent lookups safe.
 class ResolverPool {
  public:
+  /// Lookups per claim unit.
+  static constexpr std::size_t kChunk = 64;
+
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Lookups per claim unit.
-    std::size_t chunk = 64;
-    /// Seed for the per-SLOT worker DRBGs (HmacDrbg(rng_seed, slot)):
-    /// worker-private randomness with zero cross-thread contention (query
-    /// jitter, future 0x20-mixing). Lookup RESULTS never depend on it.
-    std::uint64_t rng_seed = 0xd15ea5e;
   };
 
   /// Plain copyable counters, merged across worker slots on read.
@@ -308,7 +304,6 @@ class ResolverPool {
   };
 
   ResolverPool(Resolver& resolver, Config cfg);
-  ~ResolverPool();
 
   ResolverPool(const ResolverPool&) = delete;
   ResolverPool& operator=(const ResolverPool&) = delete;
@@ -319,43 +314,17 @@ class ResolverPool {
                        std::span<Resolver::Answer> out);
 
   Stats stats() const;
-  std::size_t threads() const { return cfg_.threads; }
-
-  /// The given slot's private DRBG (tests and TSan stress only — workers
-  /// reach their own slot directly).
-  crypto::Rng& slot_rng(std::size_t slot) { return *slots_[slot].drbg; }
+  std::size_t threads() const { return group_.size(); }
 
  private:
-  void worker_main(std::size_t slot);
-  void claim_chunks(std::size_t slot);
-  void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
-
   struct alignas(64) Slot {
     mutable std::mutex mu;
     Stats stats;
-    /// Worker-private crypto::HmacDrbg(rng_seed, slot) — never shared
-    /// across slots (crypto_concurrency_test stresses this under TSan).
-    std::unique_ptr<crypto::Rng> drbg;
   };
 
   Resolver& resolver_;
-  Config cfg_;
-
-  // Burst descriptor, guarded by mu_ (ServicePool ordering argument).
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::string* names_ = nullptr;
-  std::size_t names_n_ = 0;
-  Resolver::Answer* out_ = nullptr;
-  core::ExpTime now_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::size_t chunks_done_ = 0;
-  std::size_t chunks_total_ = 0;
-  bool stop_ = false;
-
-  std::unique_ptr<Slot[]> slots_;
-  std::vector<std::thread> workers_;
+  std::unique_ptr<Slot[]> slots_;  // one per group_ slot
+  util::WorkerGroup group_;  // last: its workers stop before the slots go
 };
 
 }  // namespace apna::dns

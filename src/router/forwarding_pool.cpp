@@ -7,28 +7,12 @@
 namespace apna::router {
 
 ForwardingPool::ForwardingPool(BorderRouter& br, Config cfg)
-    : br_(br), cfg_(cfg) {
-  if (cfg_.threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    cfg_.threads = hw == 0 ? 1 : hw;
-  }
-  slots_ = std::make_unique<Slot[]>(cfg_.threads);
-  if (cfg_.flow_cache_entries > 0)
-    for (std::size_t i = 0; i < cfg_.threads; ++i)
+    : br_(br), group_(cfg.threads) {
+  slots_ = std::make_unique<Slot[]>(group_.size());
+  if (cfg.flow_cache_entries > 0)
+    for (std::size_t i = 0; i < group_.size(); ++i)
       slots_[i].cache =
-          std::make_unique<core::FlowCache>(cfg_.flow_cache_entries);
-  workers_.reserve(cfg_.threads - 1);
-  for (std::size_t i = 1; i < cfg_.threads; ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
-}
-
-ForwardingPool::~ForwardingPool() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
+          std::make_unique<core::FlowCache>(cfg.flow_cache_entries);
 }
 
 void ForwardingPool::classify(std::size_t slot,
@@ -44,19 +28,10 @@ void ForwardingPool::classify(std::size_t slot,
   }
 }
 
-void ForwardingPool::run_ring(std::size_t slot) {
+void ForwardingPool::run_ring(std::size_t slot,
+                              std::span<const wire::PacketView> burst,
+                              core::ExpTime now, bool ingress) {
   Slot& s = slots_[slot];
-  const wire::PacketView* burst;
-  BorderRouter::Verdict* verdicts;
-  core::ExpTime now;
-  bool ingress;
-  {
-    std::lock_guard lock(mu_);
-    burst = burst_;
-    verdicts = verdicts_;
-    now = now_;
-    ingress = ingress_;
-  }
   if (s.ring.empty()) return;
   // Gather the steered views so the (contiguous-span) classify kernels and
   // this slot's cache see one run-to-completion pass over the whole ring.
@@ -67,58 +42,29 @@ void ForwardingPool::run_ring(std::size_t slot) {
   // Scatter back to burst order. Rings partition the burst, so no two
   // slots ever write the same verdict index.
   for (std::size_t j = 0; j < s.ring.size(); ++j)
-    verdicts[s.ring[j]] = s.scratch[j];
-}
-
-void ForwardingPool::worker_main(std::size_t slot) {
-  for (;;) {
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [this, slot] {
-        return stop_ || slots_[slot].done_seq != burst_seq_;
-      });
-      if (stop_) return;
-    }
-    run_ring(slot);
-    std::lock_guard lock(mu_);
-    slots_[slot].done_seq = burst_seq_;
-    if (--workers_pending_ == 0) cv_done_.notify_all();
-  }
+    verdict_buf_[s.ring[j]] = s.scratch[j];
 }
 
 void ForwardingPool::process_burst(std::span<const wire::PacketView> burst,
                                    core::ExpTime now, bool ingress) {
   if (burst.empty()) return;
   verdict_buf_.resize(burst.size());
-  if (cfg_.threads == 1) {
+  const std::size_t n_slots = group_.size();
+  if (n_slots == 1) {
     // One cache, nothing to steer: classify the caller's span in place.
     classify(0, burst, now, ingress, verdict_buf_);
   } else {
-    // Scatter the burst into per-worker RX rings by flow hash BEFORE
-    // publishing the burst: the workers are quiescent between bursts, and
-    // the mu_ release below orders these writes ahead of any ring read.
-    for (std::size_t i = 0; i < cfg_.threads; ++i) slots_[i].ring.clear();
+    // Scatter the burst into per-worker RX rings by flow hash. The workers
+    // are parked between bursts, and group_.run orders these writes ahead
+    // of any ring read; the calling thread runs ring 0.
+    for (std::size_t i = 0; i < n_slots; ++i) slots_[i].ring.clear();
     for (std::size_t i = 0; i < burst.size(); ++i) {
       const ByteSpan key =
           ingress ? burst[i].dst_ephid_span() : burst[i].src_ephid_span();
-      slots_[core::steer_worker(key, cfg_.threads)].ring.push_back(
+      slots_[core::steer_worker(key, n_slots)].ring.push_back(
           static_cast<std::uint32_t>(i));
     }
-    {
-      std::lock_guard lock(mu_);
-      burst_ = burst.data();
-      verdicts_ = verdict_buf_.data();
-      now_ = now;
-      ingress_ = ingress;
-      ++burst_seq_;
-      workers_pending_ = cfg_.threads - 1;
-    }
-    cv_work_.notify_all();
-    // The calling thread is processing context 0: it runs its own ring
-    // like any worker instead of blocking.
-    run_ring(0);
-    std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [this] { return workers_pending_ == 0; });
+    group_.run([&](std::size_t slot) { run_ring(slot, burst, now, ingress); });
   }
   // Action phase on the calling thread, burst order, OUTSIDE mu_: the
   // callbacks may be arbitrarily slow or call back into stats() without
@@ -152,7 +98,7 @@ BorderRouter::Stats ForwardingPool::stats() const {
     std::lock_guard lock(mu_);
     merged += action_stats_;
   }
-  for (std::size_t i = 0; i < cfg_.threads; ++i) {
+  for (std::size_t i = 0; i < group_.size(); ++i) {
     std::lock_guard slot_lock(slots_[i].mu);
     merged += slots_[i].stats;
   }
@@ -166,7 +112,7 @@ core::FlowCache::Stats ForwardingPool::flow_cache_stats() const {
   // above one means the flow's verdict was re-derived on another worker —
   // exactly what flow-hash steering exists to prevent.
   std::unordered_map<core::EphId, std::uint32_t, core::EphIdHash> owners;
-  for (std::size_t i = 0; i < cfg_.threads; ++i) {
+  for (std::size_t i = 0; i < group_.size(); ++i) {
     std::lock_guard slot_lock(slots_[i].mu);
     if (!slots_[i].cache) continue;
     merged += slots_[i].cache->stats();

@@ -24,11 +24,11 @@
 // is handed (kFusedMinBurst), here a worker's ring.
 //
 // Threading model (see ARCHITECTURE.md "Concurrency model"):
-//  * Config::threads is the TOTAL processing parallelism: threads-1
-//    background workers plus the calling thread, which processes ring 0
-//    like any worker while it waits. threads == 1 means no background
-//    workers, no rings and no gather: the caller's span is classified in
-//    place, under one uncontended mutex.
+//  * Config::threads is the TOTAL processing parallelism: one
+//    util::WorkerGroup whose workers park on an atomic (no condvar), with
+//    the calling thread as slot 0, which runs ring 0 like any worker.
+//    threads == 1 means no background workers, no rings and no gather: the
+//    caller's span is classified in place, under one uncontended mutex.
 //  * Each processing context owns a Stats slot; stats() merges the slots
 //    (plus the action-phase counters) on read, taking each slot's lock, so
 //    it is safe to call concurrently with processing.
@@ -37,15 +37,14 @@
 //    thread by construction).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "router/border_router.h"
+#include "util/worker_group.h"
 
 namespace apna::router {
 
@@ -64,7 +63,6 @@ class ForwardingPool {
 
   explicit ForwardingPool(BorderRouter& br) : ForwardingPool(br, Config()) {}
   ForwardingPool(BorderRouter& br, Config cfg);
-  ~ForwardingPool();
 
   ForwardingPool(const ForwardingPool&) = delete;
   ForwardingPool& operator=(const ForwardingPool&) = delete;
@@ -90,12 +88,11 @@ class ForwardingPool {
   core::FlowCache::Stats flow_cache_stats() const;
 
   /// Total processing threads (callers + workers).
-  std::size_t threads() const { return cfg_.threads; }
+  std::size_t threads() const { return group_.size(); }
 
  private:
   void process_burst(std::span<const wire::PacketView> burst, core::ExpTime now,
                      bool ingress);
-  void worker_main(std::size_t slot);
   /// Classifies `burst` against slot `slot`'s stats and cache.
   void classify(std::size_t slot, std::span<const wire::PacketView> burst,
                 core::ExpTime now, bool ingress,
@@ -104,7 +101,8 @@ class ForwardingPool {
   /// ring's views, one classify pass against the slot's own FlowCache,
   /// scatter verdicts back to burst order (disjoint indices — no two slots
   /// write the same verdict).
-  void run_ring(std::size_t slot);
+  void run_ring(std::size_t slot, std::span<const wire::PacketView> burst,
+                core::ExpTime now, bool ingress);
 
   struct alignas(64) Slot {
     mutable std::mutex mu;
@@ -114,38 +112,22 @@ class ForwardingPool {
     /// cache itself is single-owner by design.
     std::unique_ptr<core::FlowCache> cache;
     /// Steered RX ring: burst indices assigned to this slot. Written by
-    /// the calling thread BEFORE the burst is published under mu_ (the
-    /// workers are quiescent between bursts); read by the owner during
-    /// run_ring. gather/scratch are the owner's reusable buffers —
-    /// allocation-free once warm.
+    /// the calling thread before group_.run (the workers are parked
+    /// between bursts); read by the owner during run_ring. gather/scratch
+    /// are the owner's reusable buffers — allocation-free once warm.
     std::vector<std::uint32_t> ring;
     std::vector<wire::PacketView> gather;
     std::vector<BorderRouter::Verdict> scratch;
-    /// Last burst sequence this slot completed (guarded by mu_).
-    std::uint64_t done_seq = 0;
   };
 
   BorderRouter& br_;
-  Config cfg_;
-
-  // Burst state, guarded by mu_. Workers read the burst descriptor after
-  // observing a burst_seq_ bump under mu_, which orders the descriptor —
-  // and ring — writes before any processing.
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const wire::PacketView* burst_ = nullptr;
-  BorderRouter::Verdict* verdicts_ = nullptr;
-  core::ExpTime now_ = 0;
-  bool ingress_ = false;
-  std::uint64_t burst_seq_ = 0;       // burst generation
-  std::size_t workers_pending_ = 0;   // rings not yet completed
-  bool stop_ = false;
-
-  BorderRouter::Stats action_stats_;  // caller-thread action phase, under mu_
-  std::unique_ptr<Slot[]> slots_;     // [0, threads): callers use slot 0
-  std::vector<std::thread> workers_;  // threads - 1 background workers
+  mutable std::mutex mu_;             // guards action_stats_ only
+  BorderRouter::Stats action_stats_;  // caller-thread action phase
+  std::unique_ptr<Slot[]> slots_;     // one per group_ slot
+  // Written by the slots in run_ring (disjoint indices), read by the
+  // caller after group_.run returns.
   std::vector<BorderRouter::Verdict> verdict_buf_;
+  util::WorkerGroup group_;  // last: its workers stop before the slots go
 };
 
 }  // namespace apna::router

@@ -16,9 +16,10 @@
 //    owning the destination EphID and forwards replies through the AS
 //    fabric. One instance per AS, event-loop resident.
 //  * ServicePool      — fans bursts of independent control-plane jobs
-//    (EphID issuance, shutoff verification) across M worker threads.
-//    Job results are deterministic and thread-count independent: each
-//    request gets its own counter-derived rng and reply nonce, so a
+//    (EphID issuance, shutoff verification) across the slots of one
+//    util::WorkerGroup (the runtime ForwardingPool and ResolverPool use
+//    too). Job results are deterministic and thread-count independent:
+//    each request gets its own counter-derived rng and reply nonce, so a
 //    4-worker pool emits bit-identical responses to a single-threaded
 //    loop (pinned by control_plane_test). Per-worker Stats slots are
 //    merged on read, exactly like ForwardingPool.
@@ -31,20 +32,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "core/ids.h"
 #include "core/messages.h"
 #include "crypto/rng.h"
 #include "util/result.h"
+#include "util/worker_group.h"
 #include "wire/packet_buf.h"
 
 namespace apna::services {
@@ -113,20 +112,22 @@ class ServiceDispatcher {
   Counters counters_;
 };
 
-/// M-worker pool for bursts of independent control-plane jobs, modeled on
-/// router::ForwardingPool: Config::threads is the TOTAL parallelism
-/// (threads-1 background workers plus the calling thread, which claims
-/// chunks while it waits; threads == 1 degenerates to a plain loop).
+/// M-worker pool for bursts of independent control-plane jobs over one
+/// util::WorkerGroup: Config::threads is the TOTAL parallelism (threads-1
+/// parked workers plus the calling thread as slot 0; threads == 1
+/// degenerates to a plain loop). Issuance is claimed kIssueChunk requests
+/// at a time, shutoff verification one request at a time.
 class ServicePool {
  public:
+  /// Issuance requests per claim unit. Also the batch width of the
+  /// per-chunk ed25519_verify_batch PoP sweep: 16 amortizes the shared
+  /// point doublings across the whole chunk.
+  static constexpr std::size_t kIssueChunk = 16;
+
   struct Config {
     /// Total processing threads (calling thread included). 0 → one per
     /// hardware thread.
     std::size_t threads = 0;
-    /// Jobs per claim unit. Also the batch width of the per-chunk
-    /// ed25519_verify_batch PoP sweep — the default 16 amortizes the
-    /// shared point doublings across the whole chunk.
-    std::size_t chunk_jobs = 16;
     /// Base seed for the per-request rngs. Results depend on (seed,
     /// request index) only — never on worker assignment or thread count.
     /// Each request gets HmacDrbg(rng_seed, nonce0 + index); each worker
@@ -146,7 +147,6 @@ class ServicePool {
   ServicePool(ManagementService& ms, AccountabilityAgent* aa, Config cfg);
   explicit ServicePool(ManagementService& ms)
       : ServicePool(ms, nullptr, Config()) {}
-  ~ServicePool();
 
   ServicePool(const ServicePool&) = delete;
   ServicePool& operator=(const ServicePool&) = delete;
@@ -172,16 +172,15 @@ class ServicePool {
                         core::ExpTime now, std::span<Result<void>> results);
 
   Stats stats() const;
-  std::size_t threads() const { return cfg_.threads; }
+  std::size_t threads() const { return group_.size(); }
 
  private:
-  enum class JobKind { issuance, shutoff };
-
-  void run_burst(JobKind kind, const void* jobs, std::size_t n, void* results,
-                 core::ExpTime now);
-  void worker_main(std::size_t slot);
-  void claim_chunks(std::size_t slot);
-  void process_chunk(std::size_t slot, std::size_t begin, std::size_t end);
+  /// Issues burst[begin, end) against slot `slot`: one PoP batch
+  /// verification over the chunk, then each request with its own
+  /// (seed, nonce0 + index) DRBG and reply nonce.
+  void issue_chunk(std::size_t slot, std::span<const IssueJob> burst,
+                   std::size_t begin, std::size_t end, core::ExpTime now,
+                   std::uint64_t nonce0, std::span<Result<Bytes>> results);
 
   struct alignas(64) Slot {
     mutable std::mutex mu;
@@ -197,26 +196,9 @@ class ServicePool {
 
   ManagementService& ms_;
   AccountabilityAgent* aa_;
-  Config cfg_;
-
-  // Burst descriptor, guarded by mu_: workers observe
-  // next_chunk_ < chunks_total_ under mu_ after the descriptor writes.
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  JobKind kind_ = JobKind::issuance;
-  const void* jobs_ = nullptr;
-  std::size_t jobs_n_ = 0;
-  void* results_ = nullptr;
-  core::ExpTime now_ = 0;
-  std::uint64_t nonce0_ = 0;
-  std::size_t next_chunk_ = 0;
-  std::size_t chunks_done_ = 0;
-  std::size_t chunks_total_ = 0;
-  bool stop_ = false;
-
-  std::unique_ptr<Slot[]> slots_;
-  std::vector<std::thread> workers_;
+  std::uint64_t rng_seed_;
+  std::unique_ptr<Slot[]> slots_;  // one per group_ slot
+  util::WorkerGroup group_;  // last: its workers stop before the slots go
 };
 
 }  // namespace apna::services

@@ -7,7 +7,9 @@
 //  * PacketWriter ↔ Packet::seal wire-image equivalence,
 //  * ServiceDispatcher routing by destination EphID,
 //  * ServicePool issuance determinism: M workers emit bit-identical
-//    responses to the single-threaded pool, plus pooled shutoff bursts.
+//    responses to the single-threaded pool, and a whole burst (PoP batches
+//    up to kIssueChunk wide) emits the same bytes as one-request calls,
+//    plus pooled shutoff bursts.
 #include <gtest/gtest.h>
 
 #include "core/packet_auth.h"
@@ -602,7 +604,6 @@ TEST(ServicePool, PooledIssuanceIsDeterministicVsSingleThreaded) {
     Fixture f;
     services::ServicePool::Config cfg;
     cfg.threads = threads;
-    cfg.chunk_jobs = 8;
     services::ServicePool pool(f.ms, &f.aa, cfg);
 
     const auto requests = f.make_requests(kN, 1);
@@ -645,7 +646,6 @@ TEST(ServicePool, MixedValidAndInvalidRequests) {
   Fixture f;
   services::ServicePool::Config cfg;
   cfg.threads = 4;
-  cfg.chunk_jobs = 4;
   services::ServicePool pool(f.ms, nullptr, cfg);
 
   constexpr std::size_t kN = 32;
@@ -669,35 +669,43 @@ TEST(ServicePool, MixedValidAndInvalidRequests) {
   EXPECT_EQ(f.ms.stats().rejected_bad_payload, kN / 4);
 }
 
-TEST(ServicePool, PooledIssuanceIsChunkSizeInvariant) {
-  // chunk_jobs is also the ed25519_verify_batch PoP width; sweeping it must
-  // not change a single output byte (the batch-vs-scalar equivalence
-  // contract, observed end to end through the pool).
-  constexpr std::size_t kN = 48;
-  auto run = [&](std::size_t chunk) {
-    Fixture f;
-    services::ServicePool::Config cfg;
-    cfg.threads = 2;
-    cfg.chunk_jobs = chunk;
-    services::ServicePool pool(f.ms, nullptr, cfg);
-    const auto requests = f.make_requests(kN, 1);
-    std::vector<services::ServicePool::IssueJob> jobs(kN);
-    for (std::size_t i = 0; i < kN; ++i) jobs[i] = {f.ctrl, requests[i]};
-    std::vector<Result<Bytes>> results(kN, Result<Bytes>(Errc::internal));
-    pool.process_issuance(jobs, f.loop.now_seconds(), results);
-    std::vector<Bytes> out;
-    for (auto& r : results) {
-      EXPECT_TRUE(r.ok());
-      out.push_back(r.take());
-    }
-    return out;
-  };
-  const auto chunk1 = run(1);   // every batch degenerates to one signature
-  const auto chunk16 = run(16);
-  const auto chunk64 = run(64);  // one batch spans the whole burst
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(chunk1[i], chunk16[i]) << i;
-    EXPECT_EQ(chunk16[i], chunk64[i]) << i;
+TEST(ServicePool, PooledIssuanceIsBurstSizeInvariant) {
+  // A burst is claimed kIssueChunk requests at a time, and each chunk is
+  // one ed25519_verify_batch PoP sweep. Issuing a burst of n in one call
+  // must give the same bytes as n one-request calls (every batch of width
+  // 1): the batch-vs-scalar equivalence contract, observed end to end.
+  // The sizes reach every batch width from 1 to 16 plus a short tail.
+  static_assert(services::ServicePool::kIssueChunk == 16);
+  for (const std::size_t n : {1u, 15u, 16u, 17u, 48u}) {
+    auto run = [&](bool whole_burst) {
+      Fixture f;
+      services::ServicePool::Config cfg;
+      cfg.threads = 2;
+      services::ServicePool pool(f.ms, nullptr, cfg);
+      const auto requests = f.make_requests(n, 1);
+      std::vector<services::ServicePool::IssueJob> jobs(n);
+      for (std::size_t i = 0; i < n; ++i) jobs[i] = {f.ctrl, requests[i]};
+      std::vector<Result<Bytes>> results(n, Result<Bytes>(Errc::internal));
+      if (whole_burst) {
+        pool.process_issuance(jobs, f.loop.now_seconds(), results);
+      } else {
+        for (std::size_t i = 0; i < n; ++i)
+          pool.process_issuance({&jobs[i], 1}, f.loop.now_seconds(),
+                                {&results[i], 1});
+      }
+      std::vector<Bytes> out;
+      for (auto& r : results) {
+        EXPECT_TRUE(r.ok());
+        out.push_back(r.take());
+      }
+      return out;
+    };
+    const auto burst = run(true);
+    const auto each = run(false);
+    ASSERT_EQ(burst.size(), n);
+    ASSERT_EQ(each.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(burst[i], each[i]) << "n=" << n << " request " << i;
   }
 }
 
@@ -709,7 +717,6 @@ TEST(ServicePool, BadPopInChunkRejectsOnlyThatRequest) {
   Fixture f;
   services::ServicePool::Config cfg;
   cfg.threads = 2;
-  cfg.chunk_jobs = 16;
   services::ServicePool pool(f.ms, nullptr, cfg);
 
   constexpr std::size_t kN = 16;
@@ -789,7 +796,6 @@ TEST(ServicePool, PooledShutoffVerification) {
 
   services::ServicePool::Config cfg;
   cfg.threads = 4;
-  cfg.chunk_jobs = 4;
   services::ServicePool pool(f.ms, &f.aa, cfg);
   std::vector<Result<void>> results(kN);
   pool.process_shutoffs(reqs, f.loop.now_seconds(), results);

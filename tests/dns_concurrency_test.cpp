@@ -132,7 +132,6 @@ TEST(DnsConcurrency, ResolverPoolMatchesSequentialAndMergesStats) {
   pooled.policy().block("host13.zone.example");
   ResolverPool::Config pool_cfg;
   pool_cfg.threads = 4;
-  pool_cfg.chunk = 32;
   ResolverPool pool(pooled, pool_cfg);
   std::vector<Resolver::Answer> out(names.size());
   pool.process_lookups(names, /*now=*/1, out);
