@@ -19,11 +19,13 @@
 #include "core/as_persist.h"
 #include "core/as_state.h"
 #include "crypto/rng.h"
+#include "crypto/sha2.h"
 #include "persist/crc32c.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "persist/vfs.h"
 #include "services/persist_coordinator.h"
+#include "util/hex.h"
 
 namespace apna {
 namespace {
@@ -628,6 +630,57 @@ TEST(AsRecovery, MalformedPayloadInsideValidFrameIsSkippedAndCounted) {
   EXPECT_EQ(rv.journal_records_replayed, 2u);
   EXPECT_EQ(rv.records_malformed, 1u);
   EXPECT_TRUE(rv.as->host_db.find(100).has_value());  // survivors applied
+}
+
+/// The on-disk format is pinned by size and SHA-256 of every file a fixed
+/// mutation history leaves behind: a codec refactor must not move a byte.
+TEST(AsPersistFormat, JournalAndSnapshotBytesArePinned) {
+  persist::MemVfs vfs;
+  crypto::ChaChaRng rng(42);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator::Config cc;
+  cc.git_sha = "golden";
+  services::PersistCoordinator coord(vfs, "as", as, cc);
+  ASSERT_TRUE(coord.start().ok());
+
+  Shadow shadow;
+  Mutator mut{as, shadow, &coord};
+  for (std::uint32_t i = 0; i < 60; ++i) mut.step(i * 2654435761u);
+  ASSERT_TRUE(coord.write_snapshot().ok());
+  for (std::uint32_t i = 60; i < 120; ++i) mut.step(i * 2654435761u);
+  ASSERT_TRUE(coord.commit().ok());
+
+  const struct {
+    std::string path;
+    std::size_t size;
+    const char* sha256;
+  } pinned[] = {
+      {core::journal_path("as", 1), 5267,
+       "e4dc725ed8194dfc58441a1e71c7483d046185d7531c3c8256ff9cb0d1274c89"},
+      {core::journal_path("as", 2), 5047,
+       "237b6bd1472412288f9a58356aa3589001684bca9caa52422c599f44460dcfd3"},
+      {core::snapshot_path("as", 1), 272,
+       "7f523ada2e40adcea9040c4729de1d7b42b2367bc66c66cfdc1be35c1e8a08f5"},
+      {core::snapshot_path("as", 2), 3742,
+       "538236ce607aaab9d62259e02fd1eeeedddbc82656253925243e62f5f624708a"},
+  };
+  for (const auto& f : pinned) {
+    auto data = vfs.read_all(f.path);
+    ASSERT_TRUE(data.ok()) << f.path;
+    EXPECT_EQ(data->size(), f.size) << f.path;
+    const auto digest = crypto::Sha256::hash(span_of(*data));
+    EXPECT_EQ(hex_encode(ByteSpan(digest.data(), digest.size())), f.sha256)
+        << f.path;
+  }
+
+  auto rec = AsState::recover(vfs, "as");
+  ASSERT_TRUE(rec.ok());
+  auto rv = rec.take();
+  EXPECT_EQ(rv.snapshot_generation, 2u);
+  EXPECT_EQ(rv.journal_records_replayed, 60u);
+  EXPECT_EQ(rv.issued.size(), 5u);
+  EXPECT_EQ(rv.blocked_domains.size(), 6u);
+  EXPECT_EQ(rv.dns_records.size(), 16u);
 }
 
 TEST(AsRecovery, EmptyDirectoryIsACleanError) {
