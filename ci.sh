@@ -55,14 +55,18 @@ ctest --test-dir build-ci --output-on-failure -L net
 # what the gate measures, and sanitizer legs would spend minutes proving
 # nothing new about it.
 ctest --test-dir build-ci --output-on-failure -L scenario
-# Scenario verdict pin, explicitly in Release: fresh attack_storms and
-# multi_as smoke runs must reproduce the checked-in SCENARIO_*.json field for
-# field, apart from the machine-shape and provenance fields. A change that
-# moves a verdict or counter must regenerate the artifact with it.
+# Scenario verdict pin, explicitly in Release: fresh runs must reproduce the
+# checked-in SCENARIO_*.json field for field, apart from the machine-shape
+# and provenance fields. attack_storms, multi_as and internet_scale pin their
+# --smoke trim; kill_recover (recovered counts, bit-identical verdicts) and
+# dns_storm pin their full runs, a few seconds each. A change that moves a
+# verdict or counter must regenerate the artifact with it.
 pin_dir=$(mktemp -d)
 trap 'rm -rf "${pin_dir}"' EXIT
-for sc in attack_storms multi_as; do
-  build-ci/bench/bench_scenario --scenario="${sc}" --smoke \
+pin_scenario() {
+  local sc=$1
+  shift
+  build-ci/bench/bench_scenario --scenario="${sc}" "$@" \
     --json="${pin_dir}/SCENARIO_${sc}.json" > /dev/null
   python3 - "SCENARIO_${sc}.json" "${pin_dir}/SCENARIO_${sc}.json" <<'PY'
 import json, sys
@@ -82,7 +86,12 @@ moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
 if moved:
     sys.exit(f"{sys.argv[1]} differs from a fresh run at: {', '.join(moved)}")
 PY
-done
+}
+pin_scenario attack_storms --smoke
+pin_scenario multi_as --smoke
+pin_scenario internet_scale --smoke
+pin_scenario kill_recover
+pin_scenario dns_storm
 # DNS resolver leg, explicitly in Release: the wire codec, sharded
 # TTL/negative cache, domain-policy trie and upstream timeout/backoff suites
 # (bench_smoke_e7 — the 50k-name bytes/name + negative-bound gates — rides

@@ -1,8 +1,8 @@
 #include "core/as_persist.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <charconv>
+#include <optional>
 
 #include "persist/journal.h"
 #include "wire/codec.h"
@@ -17,6 +17,56 @@ std::uint8_t type_byte(PersistRecordType t) {
 
 ByteSpan span_of(const Bytes& b) { return ByteSpan(b.data(), b.size()); }
 
+// One codec per record body. `W` is wire::MsgWriter (journal records) or
+// wire::Writer (snapshot image); both lay the fields out identically.
+
+template <class W>
+void put_host(W& w, const HostRecord& rec) {
+  w.u32(rec.hid);
+  w.u32(rec.subscriber_id);
+  w.raw(rec.keys.enc);
+  w.raw(rec.keys.mac);
+  w.raw(rec.host_pub);
+}
+
+Result<HostRecord> get_host(wire::Reader& r) {
+  auto hid = r.u32();
+  auto sub = r.u32();
+  auto enc = r.arr<32>();
+  auto mac = r.arr<16>();
+  auto pub = r.arr<32>();
+  if (!hid || !sub || !enc || !mac || !pub)
+    return Result<HostRecord>(Errc::malformed, "host record");
+  HostRecord rec;
+  rec.hid = *hid;
+  rec.subscriber_id = *sub;
+  rec.keys.enc = *enc;
+  rec.keys.mac = *mac;
+  rec.host_pub = *pub;
+  return Result<HostRecord>(std::move(rec));
+}
+
+/// The (EphID, ExpTime, HID) body of revoke_ephid and ephid_issued.
+template <class W>
+void put_meta(W& w, const IssuedEphIdMeta& m) {
+  w.raw(m.ephid.bytes);
+  w.u32(m.exp_time);
+  w.u32(m.hid);
+}
+
+Result<IssuedEphIdMeta> get_meta(wire::Reader& r) {
+  auto e = r.arr<16>();
+  auto exp = r.u32();
+  auto hid = r.u32();
+  if (!e || !exp || !hid)
+    return Result<IssuedEphIdMeta>(Errc::malformed, "ephid metadata");
+  IssuedEphIdMeta m;
+  m.ephid.bytes = *e;
+  m.exp_time = *exp;
+  m.hid = *hid;
+  return Result<IssuedEphIdMeta>(m);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -25,11 +75,7 @@ ByteSpan span_of(const Bytes& b) { return ByteSpan(b.data(), b.size()); }
 void emit_host_upsert(persist::Sink* sink, const HostRecord& rec) {
   if (!sink) return;
   wire::MsgWriter w(96);
-  w.u32(rec.hid);
-  w.u32(rec.subscriber_id);
-  w.raw(rec.keys.enc);
-  w.raw(rec.keys.mac);
-  w.raw(rec.host_pub);
+  put_host(w, rec);
   sink->append(type_byte(PersistRecordType::host_upsert), w.span());
 }
 
@@ -44,9 +90,7 @@ void emit_revoke_ephid(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid) {
   if (!sink) return;
   wire::MsgWriter w(32);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.u32(hid);
+  put_meta(w, IssuedEphIdMeta{ephid, exp_time, hid});
   sink->append(type_byte(PersistRecordType::revoke_ephid), w.span());
 }
 
@@ -61,9 +105,7 @@ void emit_ephid_issued(persist::Sink* sink, const EphId& ephid,
                        ExpTime exp_time, Hid hid) {
   if (!sink) return;
   wire::MsgWriter w(32);
-  w.raw(ephid.bytes);
-  w.u32(exp_time);
-  w.u32(hid);
+  put_meta(w, IssuedEphIdMeta{ephid, exp_time, hid});
   sink->append(type_byte(PersistRecordType::ephid_issued), w.span());
 }
 
@@ -89,6 +131,43 @@ void emit_dns_erase(persist::Sink* sink, std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
+// The above-core fold
+
+bool AsExtras::apply(PersistRecordType type, ByteSpan payload) {
+  wire::Reader r(payload);
+  switch (type) {
+    case PersistRecordType::ephid_issued: {
+      auto m = get_meta(r);
+      if (!m) return false;
+      issued.push_back(*m);
+      return true;
+    }
+    case PersistRecordType::domain_block: {
+      auto d = r.str();
+      if (!d) return false;
+      blocked_domains.insert(d.take());
+      return true;
+    }
+    case PersistRecordType::dns_put: {
+      auto rec = DnsRecord::decode(r);
+      if (!rec) return false;
+      DnsRecord d = rec.take();
+      std::string name = d.name;
+      dns_records.insert_or_assign(std::move(name), std::move(d));
+      return true;
+    }
+    case PersistRecordType::dns_erase: {
+      auto n = r.str();
+      if (!n) return false;
+      dns_records.erase(*n);
+      return true;
+    }
+    default:
+      return false;  // core record types (and unknown ones) are not extras
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Directory layout
 
 std::string snapshot_path(const std::string& dir, std::uint64_t generation) {
@@ -99,6 +178,28 @@ std::string journal_path(const std::string& dir, std::uint64_t generation) {
   return dir + "/journal-" + std::to_string(generation) + ".log";
 }
 
+std::vector<std::uint64_t> list_generations(
+    const std::vector<std::string>& names, std::string_view stem,
+    std::string_view ext) {
+  std::vector<std::uint64_t> gens;
+  for (std::string_view n : names) {
+    if (n.size() <= stem.size() + 1 + ext.size()) continue;
+    if (!n.starts_with(stem) || n[stem.size()] != '-' || !n.ends_with(ext))
+      continue;
+    const std::string_view digits =
+        n.substr(stem.size() + 1, n.size() - stem.size() - 1 - ext.size());
+    std::uint64_t gen = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), gen);
+    // Out-of-range and partially numeric names are strays, not generations.
+    if (ec != std::errc() || end != digits.data() + digits.size()) continue;
+    gens.push_back(gen);
+  }
+  std::sort(gens.begin(), gens.end());
+  gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
+  return gens;
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot image
 
@@ -107,12 +208,12 @@ namespace {
 constexpr std::uint16_t kImageVersion = 1;
 
 void put_secrets(wire::Writer& w, const AsSecrets& s) {
-  w.raw(ByteSpan(s.ka.data(), s.ka.size()));
-  w.raw(ByteSpan(s.ka_infra.data(), s.ka_infra.size()));
-  w.raw(ByteSpan(s.sign.seed.data(), s.sign.seed.size()));
-  w.raw(ByteSpan(s.sign.pub.data(), s.sign.pub.size()));
-  w.raw(ByteSpan(s.dh.priv.data(), s.dh.priv.size()));
-  w.raw(ByteSpan(s.dh.pub.data(), s.dh.pub.size()));
+  w.raw(s.ka);
+  w.raw(s.ka_infra);
+  w.raw(s.sign.seed);
+  w.raw(s.sign.pub);
+  w.raw(s.dh.priv);
+  w.raw(s.dh.pub);
 }
 
 Result<AsSecrets> get_secrets(wire::Reader& r) {
@@ -137,8 +238,7 @@ Result<AsSecrets> get_secrets(wire::Reader& r) {
 }  // namespace
 
 Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
-                               const AsState& as,
-                               const AsSnapshotExtras& extras,
+                               const AsState& as, const AsExtras& extras,
                                const persist::SnapshotInfo& info) {
   wire::Writer w;
   w.u16(kImageVersion);
@@ -154,20 +254,14 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
   hosts.reserve(as.host_db.size());
   as.host_db.for_each([&](const HostRecord& rec) { hosts.push_back(rec); });
   w.u64(hosts.size());
-  for (const HostRecord& rec : hosts) {
-    w.u32(rec.hid);
-    w.u32(rec.subscriber_id);
-    w.raw(ByteSpan(rec.keys.enc.data(), rec.keys.enc.size()));
-    w.raw(ByteSpan(rec.keys.mac.data(), rec.keys.mac.size()));
-    w.raw(ByteSpan(rec.host_pub.data(), rec.host_pub.size()));
-  }
+  for (const HostRecord& rec : hosts) put_host(w, rec);
 
   std::vector<std::pair<EphId, ExpTime>> ephids;
   as.revoked.for_each_ephid(
       [&](const EphId& e, ExpTime exp) { ephids.emplace_back(e, exp); });
   w.u64(ephids.size());
   for (const auto& [e, exp] : ephids) {
-    w.raw(ByteSpan(e.bytes.data(), e.bytes.size()));
+    w.raw(e.bytes);
     w.u32(exp);
   }
 
@@ -188,18 +282,14 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
   }
 
   w.u64(extras.issued.size());
-  for (const IssuedEphIdMeta& m : extras.issued) {
-    w.raw(ByteSpan(m.ephid.bytes.data(), m.ephid.bytes.size()));
-    w.u32(m.exp_time);
-    w.u32(m.hid);
-  }
+  for (const IssuedEphIdMeta& m : extras.issued) put_meta(w, m);
 
   w.u64(extras.blocked_domains.size());
   for (const std::string& d : extras.blocked_domains) w.str(d);
 
   w.u64(extras.dns_records.size());
   wire::MsgWriter rec_w(320);
-  for (const DnsRecord& rec : extras.dns_records) {
+  for (const auto& [name, rec] : extras.dns_records) {
     rec_w.clear();
     rec.encode(rec_w);
     w.var(rec_w.span());
@@ -214,224 +304,121 @@ Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
 
 namespace {
 
-struct RecoveringWorld {
-  std::unique_ptr<AsState> as;
-  std::uint64_t snapshot_epoch = 0;
-  std::vector<IssuedEphIdMeta> issued;
-  std::set<std::string> blocked;
-  std::map<std::string, DnsRecord> dns;  // ordered → deterministic output
-};
-
-Result<RecoveringWorld> load_image(ByteSpan payload,
+/// Rebuilds the snapshot image into `as`, `snapshot_epoch` and `extras`
+/// of a fresh AsStateRecovery.
+Result<AsStateRecovery> load_image(ByteSpan payload,
                                    std::uint32_t max_revocations_per_host,
                                    std::size_t shard_count) {
+  using R = Result<AsStateRecovery>;
   wire::Reader r(payload);
   auto version = r.u16();
   if (!version || *version != kImageVersion)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot image version");
+    return R(Errc::malformed, "snapshot image version");
   auto aid = r.u32();
-  if (!aid) return Result<RecoveringWorld>(Errc::malformed, "snapshot aid");
+  if (!aid) return R(Errc::malformed, "snapshot aid");
   auto secrets = get_secrets(r);
-  if (!secrets) return Result<RecoveringWorld>(secrets.error());
+  if (!secrets) return R(secrets.error());
   auto epoch = r.u64();
-  if (!epoch)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot epoch");
+  if (!epoch) return R(Errc::malformed, "snapshot epoch");
 
-  RecoveringWorld world;
-  world.snapshot_epoch = *epoch;
-  world.as = std::make_unique<AsState>(*aid, secrets.take(),
-                                       max_revocations_per_host, shard_count);
+  AsStateRecovery img;
+  img.snapshot_epoch = *epoch;
+  img.as = std::make_unique<AsState>(*aid, secrets.take(),
+                                     max_revocations_per_host, shard_count);
 
   auto host_count = r.u64();
-  if (!host_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot host count");
+  if (!host_count) return R(Errc::malformed, "snapshot host count");
   for (std::uint64_t i = 0; i < *host_count; ++i) {
-    HostRecord rec;
-    auto hid = r.u32();
-    auto sub = r.u32();
-    auto enc = r.arr<32>();
-    auto mac = r.arr<16>();
-    auto pub = r.arr<32>();
-    if (!hid || !sub || !enc || !mac || !pub)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot host record");
-    rec.hid = *hid;
-    rec.subscriber_id = *sub;
-    rec.keys.enc = *enc;
-    rec.keys.mac = *mac;
-    rec.host_pub = *pub;
-    world.as->host_db.restore(std::move(rec));
+    auto rec = get_host(r);
+    if (!rec) return R(Errc::malformed, "snapshot host record");
+    img.as->host_db.restore(rec.take());
   }
 
   auto ephid_count = r.u64();
-  if (!ephid_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot ephid count");
+  if (!ephid_count) return R(Errc::malformed, "snapshot ephid count");
   for (std::uint64_t i = 0; i < *ephid_count; ++i) {
     auto e = r.arr<16>();
     auto exp = r.u32();
-    if (!e || !exp)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot ephid");
+    if (!e || !exp) return R(Errc::malformed, "snapshot ephid");
     EphId ephid;
     ephid.bytes = *e;
-    world.as->revoked.restore_ephid(ephid, *exp);
+    img.as->revoked.restore_ephid(ephid, *exp);
   }
 
   auto rev_host_count = r.u64();
-  if (!rev_host_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot rev hosts");
+  if (!rev_host_count) return R(Errc::malformed, "snapshot rev hosts");
   for (std::uint64_t i = 0; i < *rev_host_count; ++i) {
     auto hid = r.u32();
     auto n = r.u32();
     auto flag = r.u8();
-    if (!hid || !n || !flag)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot rev host");
-    world.as->revoked.restore_host(*hid, *n, *flag != 0);
+    if (!hid || !n || !flag) return R(Errc::malformed, "snapshot rev host");
+    img.as->revoked.restore_host(*hid, *n, *flag != 0);
   }
 
   auto issued_count = r.u64();
-  if (!issued_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot issued count");
+  if (!issued_count) return R(Errc::malformed, "snapshot issued count");
   for (std::uint64_t i = 0; i < *issued_count; ++i) {
-    auto e = r.arr<16>();
-    auto exp = r.u32();
-    auto hid = r.u32();
-    if (!e || !exp || !hid)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot issued");
-    IssuedEphIdMeta m;
-    m.ephid.bytes = *e;
-    m.exp_time = *exp;
-    m.hid = *hid;
-    world.issued.push_back(m);
+    auto m = get_meta(r);
+    if (!m) return R(Errc::malformed, "snapshot issued");
+    img.extras.issued.push_back(*m);
   }
 
   auto blocked_count = r.u64();
-  if (!blocked_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot blocked count");
+  if (!blocked_count) return R(Errc::malformed, "snapshot blocked count");
   for (std::uint64_t i = 0; i < *blocked_count; ++i) {
     auto d = r.str();
-    if (!d)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot blocked");
-    world.blocked.insert(d.take());
+    if (!d) return R(Errc::malformed, "snapshot blocked");
+    img.extras.blocked_domains.insert(d.take());
   }
 
   auto dns_count = r.u64();
-  if (!dns_count)
-    return Result<RecoveringWorld>(Errc::malformed, "snapshot dns count");
+  if (!dns_count) return R(Errc::malformed, "snapshot dns count");
   for (std::uint64_t i = 0; i < *dns_count; ++i) {
     auto raw = r.var();
-    if (!raw)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot dns record");
-    wire::Reader rr(*raw);
-    auto rec = DnsRecord::decode(rr);
-    if (!rec)
-      return Result<RecoveringWorld>(Errc::malformed, "snapshot dns parse");
-    DnsRecord d = rec.take();
-    world.dns[d.name] = std::move(d);
+    if (!raw || !img.extras.apply(PersistRecordType::dns_put, *raw))
+      return R(Errc::malformed, "snapshot dns record");
   }
-  return Result<RecoveringWorld>(std::move(world));
+  return R(std::move(img));
 }
 
-/// Applies one CRC-valid journal record to the recovering world.
+/// Applies one CRC-valid journal record to the recovering state: the four
+/// core record types here, the rest through the shared AsExtras fold.
 /// Returns false when the payload is malformed (skipped, counted).
-bool apply_record(RecoveringWorld& world, std::uint8_t type, ByteSpan payload) {
+bool apply_record(AsStateRecovery& rv, std::uint8_t type, ByteSpan payload) {
+  AsState& as = *rv.as;
   wire::Reader r(payload);
   switch (static_cast<PersistRecordType>(type)) {
     case PersistRecordType::host_upsert: {
-      auto hid = r.u32();
-      auto sub = r.u32();
-      auto enc = r.arr<32>();
-      auto mac = r.arr<16>();
-      auto pub = r.arr<32>();
-      if (!hid || !sub || !enc || !mac || !pub) return false;
-      HostRecord rec;
-      rec.hid = *hid;
-      rec.subscriber_id = *sub;
-      rec.keys.enc = *enc;
-      rec.keys.mac = *mac;
-      rec.host_pub = *pub;
-      world.as->host_db.restore(std::move(rec));
+      auto rec = get_host(r);
+      if (!rec) return false;
+      as.host_db.restore(rec.take());
       return true;
     }
     case PersistRecordType::host_erase: {
       auto hid = r.u32();
       if (!hid) return false;
-      world.as->host_db.restore_erase(*hid);
+      as.host_db.restore_erase(*hid);
       return true;
     }
     case PersistRecordType::revoke_ephid: {
-      auto e = r.arr<16>();
-      auto exp = r.u32();
-      auto hid = r.u32();
-      if (!e || !exp || !hid) return false;
-      EphId ephid;
-      ephid.bytes = *e;
+      auto m = get_meta(r);
+      if (!m) return false;
       // The normal path: replay IS a re-application of the original
       // mutation, escalation counters included. The epoch bumps it does
       // are invisible — no worker observes the state until recovery
       // finishes with the single advance_to below.
-      world.as->revoked.revoke_ephid(ephid, *exp, *hid);
+      as.revoked.revoke_ephid(m->ephid, m->exp_time, m->hid);
       return true;
     }
     case PersistRecordType::revoke_hid: {
       auto hid = r.u32();
       if (!hid) return false;
-      world.as->revoked.revoke_hid(*hid);
+      as.revoked.revoke_hid(*hid);
       return true;
     }
-    case PersistRecordType::ephid_issued: {
-      auto e = r.arr<16>();
-      auto exp = r.u32();
-      auto hid = r.u32();
-      if (!e || !exp || !hid) return false;
-      IssuedEphIdMeta m;
-      m.ephid.bytes = *e;
-      m.exp_time = *exp;
-      m.hid = *hid;
-      world.issued.push_back(m);
-      return true;
-    }
-    case PersistRecordType::domain_block: {
-      auto d = r.str();
-      if (!d) return false;
-      world.blocked.insert(d.take());
-      return true;
-    }
-    case PersistRecordType::dns_put: {
-      auto rec = DnsRecord::decode(r);
-      if (!rec) return false;
-      DnsRecord d = rec.take();
-      world.dns[d.name] = std::move(d);
-      return true;
-    }
-    case PersistRecordType::dns_erase: {
-      auto n = r.str();
-      if (!n) return false;
-      world.dns.erase(*n);
-      return true;
-    }
+    default:
+      return rv.extras.apply(static_cast<PersistRecordType>(type), payload);
   }
-  return false;  // unknown record type: skip, count
-}
-
-/// Parses "<stem>-<gen>.<ext>" names; returns generations ascending.
-std::vector<std::uint64_t> generations(const std::vector<std::string>& names,
-                                       std::string_view stem,
-                                       std::string_view ext) {
-  std::vector<std::uint64_t> gens;
-  for (const std::string& n : names) {
-    if (n.size() <= stem.size() + 1 + ext.size()) continue;
-    if (n.compare(0, stem.size(), stem) != 0 || n[stem.size()] != '-')
-      continue;
-    if (n.compare(n.size() - ext.size(), ext.size(), ext) != 0) continue;
-    const std::string digits =
-        n.substr(stem.size() + 1, n.size() - stem.size() - 1 - ext.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    gens.push_back(std::stoull(digits));
-  }
-  std::sort(gens.begin(), gens.end());
-  gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
-  return gens;
 }
 
 }  // namespace
@@ -442,34 +429,33 @@ Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
                                          std::size_t shard_count) {
   const std::vector<std::string> names = vfs.list(dir);
   const std::vector<std::uint64_t> snap_gens =
-      generations(names, "snapshot", ".snap");
+      list_generations(names, "snapshot", ".snap");
   const std::vector<std::uint64_t> journal_gens =
-      generations(names, "journal", ".log");
+      list_generations(names, "journal", ".log");
 
-  AsStateRecovery out;
-  RecoveringWorld world;
-  bool loaded = false;
+  std::uint32_t snapshots_skipped = 0;
+  std::optional<AsStateRecovery> loaded;
   for (auto it = snap_gens.rbegin(); it != snap_gens.rend(); ++it) {
     auto snap = persist::read_snapshot_file(vfs, snapshot_path(dir, *it));
     if (!snap) {
-      ++out.snapshots_skipped;
+      ++snapshots_skipped;
       continue;
     }
-    auto image = load_image(ByteSpan(snap->payload.data(),
-                                     snap->payload.size()),
-                            max_revocations_per_host, shard_count);
+    auto image = load_image(span_of(snap->payload), max_revocations_per_host,
+                            shard_count);
     if (!image) {
-      ++out.snapshots_skipped;
+      ++snapshots_skipped;
       continue;
     }
-    world = image.take();
-    out.snapshot_generation = *it;
-    loaded = true;
+    loaded = image.take();
+    loaded->snapshot_generation = *it;
     break;
   }
   if (!loaded)
     return Result<AsStateRecovery>(Errc::not_found,
                                    "no loadable snapshot generation");
+  AsStateRecovery& out = *loaded;
+  out.snapshots_skipped = snapshots_skipped;
 
   // Replay every journal from the chosen generation on, oldest first.
   // Journals older than the snapshot are already folded into it; the
@@ -481,7 +467,7 @@ Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
     if (gen < out.snapshot_generation) continue;
     const persist::ReplayResult rr = persist::replay_journal_file(
         vfs, journal_path(dir, gen), [&](std::uint8_t type, ByteSpan payload) {
-          if (apply_record(world, type, payload))
+          if (apply_record(out, type, payload))
             ++out.journal_records_replayed;
           else
             ++out.records_malformed;
@@ -493,15 +479,8 @@ Result<AsStateRecovery> AsState::recover(persist::Vfs& vfs,
   // non-bumping paths (or on a world no worker can see yet); advance the
   // epoch once past everything so every per-worker FlowCache entry
   // stamped before the crash is invalid after it.
-  out.snapshot_epoch = world.snapshot_epoch;
-  world.as->epoch.advance_to(
-      std::max(world.snapshot_epoch, world.as->epoch.current()) + 1);
-
-  out.as = std::move(world.as);
-  out.issued = std::move(world.issued);
-  out.blocked_domains.assign(world.blocked.begin(), world.blocked.end());
-  out.dns_records.reserve(world.dns.size());
-  for (auto& [name, rec] : world.dns) out.dns_records.push_back(std::move(rec));
+  out.as->epoch.advance_to(
+      std::max(out.snapshot_epoch, out.as->epoch.current()) + 1);
   return Result<AsStateRecovery>(std::move(out));
 }
 

@@ -11,10 +11,15 @@
 //    hot paths' allocation gates intact.
 //
 //  * SNAPSHOTS — a full AsState image (secrets, HostDb, RevocationList,
-//    VerdictEpoch, issued-EphID metadata, AA domain blocks, DnsZone
-//    records) serialized into a persist::snapshot container and
-//    published atomically as `snapshot-<gen>.snap`; records that follow
-//    go to `journal-<gen>.log`.
+//    VerdictEpoch, plus the above-core AsExtras: issued-EphID metadata,
+//    AA domain blocks, DnsZone records) serialized into a
+//    persist::snapshot container and published atomically as
+//    `snapshot-<gen>.snap`; records that follow go to `journal-<gen>.log`.
+//
+// Every decision about the format lives in this module: each record body
+// has one codec (shared by the journal and the snapshot image), and
+// AsExtras::apply is the one fold of the above-core records, run by
+// recovery and by the live PersistCoordinator alike.
 //
 // Recovery (AsState::recover, declared in core/as_state.h) loads the
 // newest valid snapshot — falling back a generation on corruption —
@@ -23,8 +28,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <span>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,11 +78,24 @@ void emit_dns_erase(persist::Sink* sink, std::string_view name);
 std::string snapshot_path(const std::string& dir, std::uint64_t generation);
 std::string journal_path(const std::string& dir, std::uint64_t generation);
 
-/// State held above core that belongs in the snapshot image.
-struct AsSnapshotExtras {
-  std::span<const IssuedEphIdMeta> issued;
-  std::span<const std::string> blocked_domains;
-  std::span<const DnsRecord> dns_records;
+/// Parses "<stem>-<gen>.<ext>" names (e.g. "snapshot", ".snap") and
+/// returns their generations ascending, without duplicates. Names whose
+/// digits are empty, not all decimal or too large for a u64 are skipped.
+std::vector<std::uint64_t> list_generations(
+    const std::vector<std::string>& names, std::string_view stem,
+    std::string_view ext);
+
+/// State held above core that belongs in the snapshot image. Ordered
+/// containers keep snapshots byte-stable for a given mutation history.
+struct AsExtras {
+  std::vector<IssuedEphIdMeta> issued;
+  std::set<std::string> blocked_domains;
+  std::map<std::string, DnsRecord> dns_records;  // keyed by name
+
+  /// Folds one above-core journal record (ephid_issued, domain_block,
+  /// dns_put, dns_erase). Returns false for a malformed payload and for
+  /// every other record type, which this does not fold.
+  bool apply(PersistRecordType type, ByteSpan payload);
 };
 
 /// Serializes the full image and publishes `snapshot-<gen>.snap`
@@ -84,7 +103,7 @@ struct AsSnapshotExtras {
 /// journal — the coordinator owning the JournalWriter does that.
 Result<void> write_as_snapshot(persist::Vfs& vfs, const std::string& dir,
                                const AsState& as,
-                               const AsSnapshotExtras& extras,
+                               const AsExtras& extras,
                                const persist::SnapshotInfo& info);
 
 /// What AsState::recover hands back: the rebuilt core state plus the
@@ -101,9 +120,7 @@ struct AsStateRecovery {
   std::uint64_t records_malformed = 0;
   /// Corrupt snapshot generations fallen past before a valid one loaded.
   std::uint32_t snapshots_skipped = 0;
-  std::vector<IssuedEphIdMeta> issued;
-  std::vector<std::string> blocked_domains;
-  std::vector<DnsRecord> dns_records;
+  AsExtras extras;
 };
 
 }  // namespace apna::core

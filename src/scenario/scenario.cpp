@@ -258,15 +258,13 @@ Engine::Engine(const Config& cfg) : cfg_(cfg), rng_(cfg.seed) {
   }
 }
 
-void Engine::attach_persistence(std::vector<core::IssuedEphIdMeta> issued,
-                                std::vector<std::string> blocked,
-                                std::vector<core::DnsRecord> dns) {
+void Engine::attach_persistence(core::AsExtras extras) {
   services::PersistCoordinator::Config pc;
   pc.seed = cfg_.seed;
   pc.git_sha = "scenario-engine";  // fixed provenance — JSON stays seed-pure
   persist_coord_ = std::make_unique<services::PersistCoordinator>(
       *vfs_, "as-" + std::to_string(cfg_.aid), *as_, pc);
-  persist_coord_->seed(std::move(issued), std::move(blocked), std::move(dns));
+  persist_coord_->seed(std::move(extras));
   // MemVfs cannot fail; a failed start on a real Vfs would leave the
   // engine running non-durably, which is the degraded contract anyway.
   (void)persist_coord_->start();
@@ -788,8 +786,8 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
   r.journal_bytes_discarded = rv.journal_bytes_discarded;
   r.recovered_hosts = as_->host_db.size();
   r.recovered_revocations = as_->revoked.size();
-  r.recovered_dns_records = rv.dns_records.size();
-  r.recovered_domain_blocks = rv.blocked_domains.size();
+  r.recovered_dns_records = rv.extras.dns_records.size();
+  r.recovered_domain_blocks = rv.extras.blocked_domains.size();
 
   // Rebuild the infrastructure over the recovered state — the same
   // sequence as construction, so the rebuilt world is deterministic.
@@ -814,15 +812,14 @@ void Engine::do_kill_recover(const Phase& p, PhaseReport& r) {
   // Reinstall the recovered above-core state into a fresh DNS world (no
   // sink yet — these are restorations, not new mutations to journal).
   ensure_dns();
-  for (const core::DnsRecord& rec : rv.dns_records) dns_zone_->put(rec);
-  for (const std::string& d : rv.blocked_domains)
+  for (const auto& [name, rec] : rv.extras.dns_records) dns_zone_->put(rec);
+  for (const std::string& d : rv.extras.blocked_domains)
     dns_resolver_->policy().block(d);
 
   // New coordinator over the recovered world: seeds carry what the
   // pre-crash AS vouched for, and start() publishes the post-recovery
   // snapshot generation.
-  attach_persistence(std::move(rv.issued), std::move(rv.blocked_domains),
-                     std::move(rv.dns_records));
+  attach_persistence(std::move(rv.extras));
   r.persist_snapshots_written += persist_coord_->stats().snapshots_written;
 
   // The rebuilt pool/AA counters start from zero — rebase the per-phase

@@ -6,9 +6,10 @@
 //
 //  * appends it to the current generation's journal (group commit,
 //    configurable fsync policy — persist/journal.h), and
-//  * folds the above-core metadata (issued EphIDs, domain blocks, DNS
-//    records) into in-memory aggregates, because the snapshot image
-//    needs them and no single core structure tracks them.
+//  * folds the above-core records (issued EphIDs, domain blocks, DNS
+//    records) into a core::AsExtras through AsExtras::apply — the same
+//    fold recovery runs — because the snapshot image needs them and no
+//    single core structure tracks them.
 //
 // write_snapshot() publishes a full AsState image as generation g+1 and
 // rotates the journal to `journal-<g+1>.log`; recovery therefore needs
@@ -21,12 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "core/as_persist.h"
 #include "core/as_state.h"
@@ -69,11 +67,10 @@ class PersistCoordinator final : public persist::Sink {
   /// before records are emitted.
   Result<void> start();
 
-  /// Re-seeds the metadata aggregates after a recovery, so the next
-  /// snapshot still carries what the pre-crash AS vouched for.
-  void seed(std::vector<core::IssuedEphIdMeta> issued,
-            std::vector<std::string> blocked_domains,
-            std::vector<core::DnsRecord> dns_records);
+  /// Re-seeds the above-core extras after a recovery
+  /// (AsStateRecovery::extras), so the next snapshot still carries what
+  /// the pre-crash AS vouched for.
+  void seed(core::AsExtras extras);
 
   // persist::Sink
   bool append(std::uint8_t type, ByteSpan payload) override;
@@ -104,13 +101,8 @@ class PersistCoordinator final : public persist::Sink {
   std::unique_ptr<persist::JournalWriter> journal_;
   /// Totals carried across journal rotations (stats() = base + current).
   persist::JournalWriter::Stats journal_base_;
-
-  // Above-core state the snapshot image carries (core/as_persist.h
-  // AsSnapshotExtras). Ordered containers keep snapshots byte-stable for
-  // a given mutation history.
-  std::vector<core::IssuedEphIdMeta> issued_;
-  std::set<std::string> blocked_;
-  std::map<std::string, core::DnsRecord> dns_;
+  /// Above-core state the snapshot image carries.
+  core::AsExtras extras_;
 };
 
 }  // namespace apna::services

@@ -472,12 +472,13 @@ void expect_matches_shadow(const AsState& as, const core::AsStateRecovery& rv,
   }
   EXPECT_EQ(as.host_db.size(), shadow.hosts.size());
   EXPECT_EQ(as.revoked.size(), shadow.revoked_hex.size());
-  EXPECT_EQ(rv.issued.size(), shadow.issued);
-  std::set<std::string> blocked(rv.blocked_domains.begin(),
-                                rv.blocked_domains.end());
-  EXPECT_EQ(blocked, shadow.blocked);
+  EXPECT_EQ(rv.extras.issued.size(), shadow.issued);
+  EXPECT_EQ(rv.extras.blocked_domains, shadow.blocked);
   std::map<std::string, std::uint32_t> dns;
-  for (const auto& r : rv.dns_records) dns[r.name] = r.ipv4;
+  for (const auto& [name, r] : rv.extras.dns_records) {
+    EXPECT_EQ(r.name, name);
+    dns[name] = r.ipv4;
+  }
   ASSERT_EQ(dns.size(), shadow.dns.size());
   EXPECT_EQ(dns, shadow.dns);
 }
@@ -599,13 +600,43 @@ TEST(AsRecovery, CorruptNewestSnapshotFallsBackAGeneration) {
   expect_matches_shadow(*rv.as, rv, shadow, mut.next_hid);
 }
 
+/// Captures emitted records so a test can reuse a valid payload.
+struct RecordingSink final : persist::Sink {
+  std::vector<std::pair<std::uint8_t, Bytes>> records;
+  bool append(std::uint8_t type, ByteSpan payload) override {
+    records.emplace_back(type, Bytes(payload.begin(), payload.end()));
+    return true;
+  }
+};
+
+/// One valid record of every PersistRecordType, in type order.
+RecordingSink one_record_per_type(crypto::ChaChaRng& rng) {
+  RecordingSink sink;
+  core::HostRecord hr;
+  hr.hid = 7;
+  rng.fill(MutByteSpan(hr.keys.enc.data(), hr.keys.enc.size()));
+  core::EphId e;
+  rng.fill(MutByteSpan(e.bytes.data(), e.bytes.size()));
+  core::emit_host_upsert(&sink, hr);
+  core::emit_host_erase(&sink, 7);
+  core::emit_revoke_ephid(&sink, e, 2'000'000, 7);
+  core::emit_revoke_hid(&sink, 7);
+  core::emit_ephid_issued(&sink, e, 3'000'000, 7);
+  core::emit_domain_block(&sink, "blocked.example");
+  core::emit_dns_put(&sink, make_dns("svc.example", 0x0a000001));
+  core::emit_dns_erase(&sink, "svc.example");
+  for (std::size_t i = 0; i < sink.records.size(); ++i)
+    EXPECT_EQ(sink.records[i].first, i + 1);
+  return sink;
+}
+
 TEST(AsRecovery, MalformedPayloadInsideValidFrameIsSkippedAndCounted) {
   persist::MemVfs vfs;
   crypto::ChaChaRng rng(4);
   AsState as(64512, core::AsSecrets::generate(rng));
   persist::SnapshotInfo info;
   info.generation = 1;
-  core::AsSnapshotExtras extras;
+  core::AsExtras extras;
   ASSERT_TRUE(vfs.mkdirs("as").ok());
   ASSERT_TRUE(core::write_as_snapshot(vfs, "as", as, extras, info).ok());
 
@@ -614,22 +645,64 @@ TEST(AsRecovery, MalformedPayloadInsideValidFrameIsSkippedAndCounted) {
   hr.hid = 100;
   rng.fill(MutByteSpan(hr.keys.enc.data(), hr.keys.enc.size()));
   core::emit_host_upsert(&jw, hr);
-  // CRC-valid frame, garbage payload: a host_upsert needs ~88 bytes.
-  const Bytes junk = bytes_of("zx");
-  ASSERT_TRUE(jw.append(
-      static_cast<std::uint8_t>(core::PersistRecordType::host_upsert),
-      span_of(junk)));
-  core::emit_host_erase(&jw, 999);  // valid record AFTER the bad one
+  // CRC-valid frames, truncated payloads: every record type's valid body
+  // minus its last byte, each followed by a valid record.
+  const RecordingSink valid = one_record_per_type(rng);
+  ASSERT_EQ(valid.records.size(), 8u);
+  for (std::size_t i = 0; i < valid.records.size(); ++i) {
+    const auto& [type, payload] = valid.records[i];
+    ASSERT_TRUE(jw.append(type, ByteSpan(payload.data(), payload.size() - 1)))
+        << "type " << int(type);
+    core::emit_host_erase(&jw, static_cast<core::Hid>(900 + i));
+  }
   ASSERT_TRUE(jw.commit().ok());
 
   auto rec = AsState::recover(vfs, "as");
   ASSERT_TRUE(rec.ok());
   auto rv = rec.take();
-  // Replayed counts records that APPLIED; the junk frame is tallied as
-  // malformed instead, never dropped on the floor.
-  EXPECT_EQ(rv.journal_records_replayed, 2u);
-  EXPECT_EQ(rv.records_malformed, 1u);
+  // Replayed counts records that APPLIED; the truncated frames are tallied
+  // as malformed instead, never dropped on the floor.
+  EXPECT_EQ(rv.journal_records_replayed, 9u);
+  EXPECT_EQ(rv.records_malformed, 8u);
   EXPECT_TRUE(rv.as->host_db.find(100).has_value());  // survivors applied
+  EXPECT_FALSE(rv.as->host_db.find(7).has_value());
+  EXPECT_EQ(rv.as->revoked.size(), 0u);
+  EXPECT_FALSE(rv.as->revoked.is_hid_revoked(7));
+  EXPECT_TRUE(rv.extras.issued.empty());
+  EXPECT_TRUE(rv.extras.blocked_domains.empty());
+  EXPECT_TRUE(rv.extras.dns_records.empty());
+}
+
+/// The live coordinator folds through the same AsExtras::apply: a
+/// truncated above-core payload is journaled but moves no aggregate.
+TEST(Coordinator, MalformedAboveCorePayloadsAreJournaledNotFolded) {
+  persist::MemVfs vfs;
+  crypto::ChaChaRng rng(5);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  services::PersistCoordinator coord(vfs, "as", as);
+  ASSERT_TRUE(coord.start().ok());
+
+  const RecordingSink valid = one_record_per_type(rng);
+  // ephid_issued, domain_block and dns_put, whole: one of each tracked.
+  for (std::size_t i = 4; i < 7; ++i) {
+    const auto& [type, payload] = valid.records[i];
+    ASSERT_TRUE(coord.append(type, span_of(payload)));
+  }
+  const auto before = coord.stats();
+  EXPECT_EQ(before.issued_tracked, 1u);
+  EXPECT_EQ(before.blocked_tracked, 1u);
+  EXPECT_EQ(before.dns_tracked, 1u);
+
+  // The four above-core types, each minus its last byte.
+  for (std::size_t i = 4; i < 8; ++i) {
+    const auto& [type, payload] = valid.records[i];
+    ASSERT_TRUE(coord.append(type, ByteSpan(payload.data(), payload.size() - 1)));
+  }
+  const auto after = coord.stats();
+  EXPECT_EQ(after.journal.appended, before.journal.appended + 4);
+  EXPECT_EQ(after.issued_tracked, before.issued_tracked);
+  EXPECT_EQ(after.blocked_tracked, before.blocked_tracked);
+  EXPECT_EQ(after.dns_tracked, before.dns_tracked);
 }
 
 /// The on-disk format is pinned by size and SHA-256 of every file a fixed
@@ -678,9 +751,9 @@ TEST(AsPersistFormat, JournalAndSnapshotBytesArePinned) {
   auto rv = rec.take();
   EXPECT_EQ(rv.snapshot_generation, 2u);
   EXPECT_EQ(rv.journal_records_replayed, 60u);
-  EXPECT_EQ(rv.issued.size(), 5u);
-  EXPECT_EQ(rv.blocked_domains.size(), 6u);
-  EXPECT_EQ(rv.dns_records.size(), 16u);
+  EXPECT_EQ(rv.extras.issued.size(), 5u);
+  EXPECT_EQ(rv.extras.blocked_domains.size(), 6u);
+  EXPECT_EQ(rv.extras.dns_records.size(), 16u);
 }
 
 TEST(AsRecovery, EmptyDirectoryIsACleanError) {
@@ -744,12 +817,58 @@ TEST(Coordinator, RestartResumesAtNextGeneration) {
   // A new coordinator over the recovered state starts at generation 2 and
   // leaves generation 1 on disk as the fallback.
   services::PersistCoordinator coord2(vfs, "as", *rv.as);
-  coord2.seed(std::move(rv.issued), std::move(rv.blocked_domains),
-              std::move(rv.dns_records));
+  coord2.seed(std::move(rv.extras));
   ASSERT_TRUE(coord2.start().ok());
   EXPECT_EQ(coord2.stats().generation, 2u);
   EXPECT_TRUE(vfs.exists(core::snapshot_path("as", 1)));
   EXPECT_TRUE(vfs.exists(core::snapshot_path("as", 2)));
+}
+
+TEST(AsPersistLayout, ListGenerationsSkipsNamesThatAreNotGenerations) {
+  const std::vector<std::string> names = {
+      "snapshot-3.snap",  "snapshot-1.snap",
+      "snapshot-3.snap",  "snapshot-.snap",
+      "snapshot-1a.snap", "snapshot-99999999999999999999999.snap",
+      "snapshot-18446744073709551615.snap",  // u64 max still fits
+      "snapshot--1.snap", "snapshot-+2.snap",
+      "snapshot-4.log",   "journal-5.log",
+      "snapshots-6.snap", "snapshot-7.snap.tmp",
+  };
+  EXPECT_EQ(core::list_generations(names, "snapshot", ".snap"),
+            (std::vector<std::uint64_t>{1, 3, 18446744073709551615ull}));
+  EXPECT_EQ(core::list_generations(names, "journal", ".log"),
+            (std::vector<std::uint64_t>{5}));
+}
+
+/// A stray name whose digits overflow a u64 (or are not digits at all)
+/// is ignored by recovery and by a restarting coordinator alike.
+TEST(Coordinator, StrayGenerationNamesDoNotBreakRecoveryOrRestart) {
+  persist::MemVfs vfs;
+  crypto::ChaChaRng rng(9);
+  AsState as(64512, core::AsSecrets::generate(rng));
+  {
+    services::PersistCoordinator coord(vfs, "as", as);
+    ASSERT_TRUE(coord.start().ok());
+    core::emit_host_erase(&coord, 5);
+    ASSERT_TRUE(coord.commit().ok());
+  }
+  for (const char* stray : {"as/journal-99999999999999999999999.log",
+                            "as/snapshot-.snap", "as/journal-12a.log"}) {
+    auto f = vfs.open_append(stray, true);
+    ASSERT_TRUE(f.ok()) << stray;
+    ASSERT_TRUE((*f)->append(span_of(bytes_of("stray"))).ok());
+  }
+
+  auto rec = AsState::recover(vfs, "as");
+  ASSERT_TRUE(rec.ok()) << rec.error().detail;
+  auto rv = rec.take();
+  EXPECT_EQ(rv.snapshot_generation, 1u);
+  EXPECT_EQ(rv.journal_records_replayed, 1u);
+
+  services::PersistCoordinator coord2(vfs, "as", *rv.as);
+  coord2.seed(std::move(rv.extras));
+  ASSERT_TRUE(coord2.start().ok());
+  EXPECT_EQ(coord2.stats().generation, 2u);
 }
 
 TEST(Coordinator, ConcurrentSinkAppendsRecoverCompletely) {
